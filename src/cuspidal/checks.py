@@ -150,29 +150,40 @@ def criterion_theta_identities():
         "theta": th.canonical_str(), "orders": orders}
 
 
-def criterion_braid_monodromy():
-    """Four factors in the stated cyclic order: exponent sums (3, 3, 1, 3),
-    conjugates of generator powers with consistent signs, transposition
-    permutations multiplying to a fixed-point-free double transposition."""
-    result = computed_factorization()
+def _expected_powers(targets, shear):
+    """Generator power each loop should circle, read off its critical value:
+    3 at the split cusp values -9/8 -+ (3 sqrt 3 / 8) shear and at the
+    origin cusp, 1 at the tangency value -1/(1 + shear^2); None elsewhere."""
+    eps = float(shear)
+    split = 3 * math.sqrt(3) / 8 * eps
+    known = ((-9 / 8 - split, 3), (-9 / 8 + split, 3),
+             (-1 / (1 + eps * eps), 1), (0.0, 3))
+    return [next((p for value, p in known if abs(t - value) < 1e-6), None)
+            for t in targets]
+
+
+def criterion_braid_monodromy(result=None):
+    """Four factors, one around each critical value: exponent sum and
+    conjugate generator power 3 at the three cusp values and 1 at the
+    tangency (signs consistent), transposition permutations multiplying to
+    a fixed-point-free double transposition.  Checks ``result``, or the
+    default factorization when it is None."""
+    if result is None:
+        result = computed_factorization()
     sums = result.exponent_sums()
     targets = [loop.target.real for loop in result.loops]
-    eps = float(result.shear)
-    split = 3 * math.sqrt(3) / 8 * eps
-    order_ok = (abs(targets[0] + 9 / 8 + split) < 1e-6
-                and abs(targets[1] + 9 / 8 - split) < 1e-6
-                and abs(targets[2] + 1) < 0.01
-                and abs(targets[3]) < 1e-9)
+    expected = _expected_powers(targets, result.shear)
+    order_ok = None not in expected and sorted(expected) == [1, 3, 3, 3]
     powers = []
     for f in result.factors:
         w = braids.conjugate_power_witness(f)
         powers.append(None if w is None else w[0])
-    signs_ok = powers == [3, 3, 1, 3] or powers == [-3, -3, -1, -3]
+    signs_ok = order_ok and powers in (expected, [-p for p in expected])
     perms = [braids.permutation_image(f) for f in result.factors]
     perms_ok = all(braids.is_transposition(p) for p in perms)
     prod = braids.compose_permutations(perms, 4)
     prod_ok = all(prod[i] != i and prod[prod[i]] == i for i in range(4))
-    ok = (sums == [3, 3, 1, 3] and order_ok and signs_ok and perms_ok and prod_ok)
+    ok = (order_ok and sums == expected and signs_ok and perms_ok and prod_ok)
     return ok, {
         "exponent_sums": sums,
         "critical_values": targets,

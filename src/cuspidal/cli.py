@@ -15,6 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import bidouble, braids, checks, groups, monodromy, quartic
+from .continuation import ContinuationError
+from .roots import RootFindingError
 
 
 def _workers():
@@ -57,6 +59,16 @@ def _fraction_arg(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+
+
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _report(command, inputs, results, check_list):
@@ -157,17 +169,23 @@ def cmd_critical_values(args):
 
 
 def cmd_monodromy(args):
-    result = monodromy.monodromy_factorization(
-        basepoint=args.basepoint, shear=args.shear, keep_paths=args.out == "svg")
+    basepoint = (monodromy.default_basepoint() if args.basepoint is None
+                 else args.basepoint)
+    inputs = {"shear": args.shear, "basepoint": basepoint}
+    try:
+        result = monodromy.monodromy_factorization(
+            basepoint=basepoint, shear=args.shear, keep_paths=args.out == "svg")
+    except (ContinuationError, RootFindingError, monodromy.SweepError) as exc:
+        return _report("monodromy", inputs, {},
+                       [("braid_monodromy", False,
+                         {"exception": type(exc).__name__, "message": str(exc)})])
     if args.out == "svg":
         merged = [p for family in result.strand_paths for p in family]
         print(monodromy.strand_paths_svg(merged))
         return 0
-    passed, witness = checks.criterion_braid_monodromy()
-    results = result.to_json()
-    return _report("monodromy",
-                   {"shear": args.shear, "basepoint": result.basepoint},
-                   results, [("braid_monodromy", passed, witness)])
+    passed, witness = checks.criterion_braid_monodromy(result)
+    return _report("monodromy", inputs, result.to_json(),
+                   [("braid_monodromy", passed, witness)])
 
 
 def cmd_vankampen(args):
@@ -279,7 +297,7 @@ def build_parser():
 
     p_mono = add("monodromy", cmd_monodromy, help="braid monodromy factorization")
     p_mono.add_argument("--shear", type=_fraction_arg, default=monodromy.DEFAULT_SHEAR)
-    p_mono.add_argument("--basepoint", type=float, default=None)
+    p_mono.add_argument("--basepoint", type=_finite_float, default=None)
 
     p_vk = add("vankampen", cmd_vankampen, help="complement group presentation")
     p_vk.add_argument("--source", choices=("fixture", "computed"), default="fixture")

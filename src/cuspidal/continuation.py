@@ -1,17 +1,20 @@
 """Root continuation along paths in the base of a parametrized fiber polynomial.
 
 The predictor is the previous position, the corrector a short Newton run on
-the new fiber; a step is accepted only when every corrected move stays below
-a third of the current minimum pairwise strand separation, so strand
-identities can never be confused.  Rejected steps are halved, 40 times at
-most, then the failure is reported loudly.
+the new fiber; a step is accepted only when every Newton run converges (see
+``_newton_track``) and every corrected move stays below a third of the
+current minimum pairwise strand separation.  This is a heuristic, not a
+certificate: it does not exclude two strands crossing between samples.
+Rejected steps are halved, 40 times at most, then the failure is reported
+loudly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .roots import RootFindingError, eval_poly_deriv, roots_univariate
+from .roots import (_certified_radius, _eval_error_bound, eval_poly,
+                    eval_poly_deriv, roots_univariate)
 
 
 class ContinuationError(RuntimeError):
@@ -50,8 +53,15 @@ class StrandPath:
         return self.samples[k][1]
 
 
-def _newton_track(coeffs, z, tol=5e-13, iterations=24):
-    """Newton iteration returning (converged, new position)."""
+def _newton_track(coeffs, z, sep, tol=5e-13, iterations=24):
+    """Newton iteration returning (converged, new position).
+
+    A run converges when a step falls below tol * max(1, |z|).  Near a
+    collision of strands p/p' can stay above that for rounding noise alone,
+    so a run that never passes the step test still converges when it ends
+    at the rounding floor: |p(z)| within the Horner error bound and an
+    inclusion radius below sep/6.
+    """
     scale = max(1.0, abs(z))
     for _ in range(iterations):
         p, dp = eval_poly_deriv(coeffs, z)
@@ -61,7 +71,8 @@ def _newton_track(coeffs, z, tol=5e-13, iterations=24):
         z = z - step
         if abs(step) < tol * scale:
             return True, z
-    return False, z
+    at_floor = abs(eval_poly(coeffs, z)) <= _eval_error_bound(coeffs, z)
+    return at_floor and _certified_radius(coeffs, z) < sep / 6.0, z
 
 
 def _min_pairwise(points):
@@ -108,7 +119,7 @@ def continue_roots(fiber_coeffs, path, initial=None, halving_budget=40,
             new = []
             ok = True
             for z in pos:
-                conv, z2 = _newton_track(coeffs, z)
+                conv, z2 = _newton_track(coeffs, z, sep)
                 if not conv or abs(z2 - z) >= sep / 3.0:
                     ok = False
                     break

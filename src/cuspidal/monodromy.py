@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .braids import BraidWord, free_reduce
 from .continuation import check_clearance, continue_roots, end_permutation
 from .quartic import (classify_real_fiber, critical_values, cuspidal_quartic,
-                      fiber_coeffs, sheared_curve)
+                      sheared_curve)
 from .roots import roots_univariate
 
 DEFAULT_SHEAR = Fraction(1, 100)
@@ -203,19 +203,74 @@ def braid_from_strand_paths(paths, max_rotations=16):
     raise SweepError(f"sweep stayed ambiguous after {max_rotations} rotations: {last}")
 
 
+def fiber_evaluator(sheared, center):
+    """x -> ascending y-coefficients of the sheared curve's fiber over x.
+
+    Each coefficient polynomial in x is Taylor-shifted to the real
+    ``center`` exactly over Q and rounded once to float; the returned
+    function evaluates it by Horner in x - center.  Near the center, where
+    a loop circles its critical value, the fiber is then accurate to a few
+    ulps of the Taylor coefficients instead of carrying the cancellation of
+    an expansion around 0.
+    """
+    c = Fraction(center)
+    tables = []
+    for poly in sheared.equation.as_univariate("y"):
+        a = poly.univariate_coeffs("x")
+        for i in range(len(a) - 1):  # repeated synthetic division by x - c
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += c * a[j + 1]
+        tables.append([float(b) for b in reversed(a)])
+    c = float(c)
+
+    def fiber(x):
+        t = x - c
+        out = []
+        for table in tables:
+            acc = 0j
+            for b in table:
+                acc = acc * t + b
+            out.append(acc)
+        return out
+
+    return fiber
+
+
+def _start_roots(sheared, basepoint):
+    """Simple fiber roots over the real basepoint, sorted by (real, imag).
+
+    The fiber polynomial is real, so its non-real roots come in conjugate
+    pairs; each pair gets one shared real part, so that within a pair the
+    root with negative imaginary part always comes first instead of
+    whichever one rounding put an ulp further left.
+    """
+    roots = roots_univariate(fiber_evaluator(sheared, basepoint)(basepoint),
+                             mode="simple")
+    values = [r.value for r in roots]
+    out = []
+    for r in roots:
+        z = r.value
+        partner = min(values, key=lambda w: abs(w - z.conjugate()))
+        if partner != z:
+            z = complex((z.real + partner.real) / 2, z.imag)
+        out.append(replace(r, value=z))
+    return sorted(out, key=lambda r: (r.value.real, r.value.imag))
+
+
 def _strand_names(curve, basepoint, start_roots):
     """Match the basepoint fiber against the unsheared curve's A/B labels."""
+    fallback = [f"s{k + 1}" for k in range(len(start_roots))]
     try:
         labels = classify_real_fiber(curve, basepoint).labels
     except Exception:
-        return [f"s{k + 1}" for k in range(len(start_roots))]
+        return fallback
+    if not labels:  # complex quadruple: no real structure to name by
+        return fallback
     names = []
     for r in start_roots:
         best = min(labels.items(), key=lambda kv: abs(kv[1] - r.value))
         names.append(best[0])
-    if len(set(names)) != len(names):
-        return [f"s{k + 1}" for k in range(len(start_roots))]
-    return names
+    return names if len(set(names)) == len(names) else fallback
 
 
 def monodromy_factorization(curve=None, basepoint=None, shear=DEFAULT_SHEAR,
@@ -233,18 +288,14 @@ def monodromy_factorization(curve=None, basepoint=None, shear=DEFAULT_SHEAR,
     criticals = critical_values(curve, shear)
     loops, radius = build_loops(criticals, basepoint, circle_steps=circle_steps)
     sheared = sheared_curve(curve, shear)
-    ycoeffs = sheared.equation.as_univariate("y")
-
-    def fiber(x):
-        return [c.evaluate({"x": complex(x)}) for c in ycoeffs]
-
-    start_roots = roots_univariate(fiber(basepoint), mode="simple")
+    start_roots = _start_roots(sheared, basepoint)
     names = _strand_names(curve, basepoint, start_roots)
     factors = []
     all_paths = []
     for loop in loops:
         others = [l.target for l in loops if l is not loop]
         check_clearance(loop.waypoints, others, 0.9 * min(radius, 1.0))
+        fiber = fiber_evaluator(sheared, loop.target.real)
         paths = continue_roots(fiber, loop.waypoints, initial=start_roots)
         end_permutation(paths, start_roots)  # loudly validates the loop closed
         factors.append(braid_from_strand_paths(paths))
@@ -260,14 +311,9 @@ def connecting_braid(curve, from_basepoint, to_basepoint, shear=DEFAULT_SHEAR,
                      via=None):
     """Braid of dragging the basepoint along a given waypoint path."""
     sheared = sheared_curve(curve, Fraction(shear))
-    ycoeffs = sheared.equation.as_univariate("y")
-
-    def fiber(x):
-        return [c.evaluate({"x": complex(x)}) for c in ycoeffs]
-
-    start_roots = roots_univariate(fiber(from_basepoint), mode="simple")
     waypoints = via if via is not None else [from_basepoint, to_basepoint]
-    paths = continue_roots(fiber, waypoints, initial=start_roots)
+    paths = continue_roots(fiber_evaluator(sheared, from_basepoint), waypoints,
+                           initial=_start_roots(sheared, from_basepoint))
     return braid_from_strand_paths(paths)
 
 

@@ -98,3 +98,41 @@ def test_reproduce_all_passes(capsys):
     assert data["results"]["criteria"] == 11
     assert data["results"]["passed"] == 11
     assert all(c["pass"] for c in data["checks"])
+
+
+def test_monodromy_checks_the_computed_factorization(capsys):
+    # shear 0 leaves the two cusps over -9/8 on one critical value: three
+    # factors, which the check must reject
+    code, out = run_cli(capsys, "monodromy", "--shear", "0")
+    assert code == 1
+    data = json.loads(out)
+    assert len(data["results"]["factors"]) == 3
+    assert not data["checks"][0]["pass"]
+
+
+def test_monodromy_on_a_complex_quadruple_basepoint_fiber(capsys):
+    code, out = run_cli(capsys, "monodromy", "--basepoint=-2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["results"]["strand_names"] == ["s1", "s2", "s3", "s4"]
+
+
+@pytest.mark.parametrize("argv, exception", [
+    (["--basepoint=0"], "RootFindingError"),
+    (["--shear", "1/100000"], "ContinuationError"),
+])
+def test_monodromy_numerical_failure_is_a_structured_fail(capsys, argv, exception):
+    code, out = run_cli(capsys, "monodromy", *argv)
+    assert code == 1
+    data = json.loads(out)
+    [check] = data["checks"]
+    assert check["name"] == "braid_monodromy" and not check["pass"]
+    assert check["witness"]["exception"] == exception
+    assert check["witness"]["message"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "x"])
+def test_monodromy_rejects_a_non_finite_basepoint(value):
+    with pytest.raises(SystemExit) as err:
+        main(["monodromy", f"--basepoint={value}"])
+    assert err.value.code == 2

@@ -4,8 +4,8 @@ import math
 import pytest
 
 from cuspidal.continuation import (
-    ClearanceError, ContinuationError, check_clearance, continue_roots,
-    end_permutation,
+    ClearanceError, ContinuationError, _newton_track, check_clearance,
+    continue_roots, end_permutation,
 )
 from cuspidal.roots import roots_univariate
 
@@ -87,3 +87,31 @@ def test_fiber_symmetry_under_conjugation_and_negation():
         for v in vals:
             assert min(abs(v.conjugate() - w) for w in vals) < 1e-9
             assert min(abs(-v - w) for w in vals) < 1e-9
+
+
+def _from_roots(roots):
+    coeffs = [1 + 0j]
+    for r in roots:
+        nxt = [0j] * (len(coeffs) + 1)
+        for i, a in enumerate(coeffs):
+            nxt[i + 1] += a
+            nxt[i] -= r * a
+        coeffs = nxt
+    return coeffs
+
+
+def test_newton_track_stops_at_the_rounding_floor():
+    # two roots 2e-5 apart: p/p' is rounding noise above the step test, so
+    # only the rounding-floor stop can accept the run, and only while the
+    # inclusion radius stays below sep/6
+    w, d = 0.7123 + 0.3071j, 1e-5
+    coeffs = _from_roots([w + d, w - d, -1.3 + 0.2j, 0.4 - 1.1j])
+    converged, z = _newton_track(coeffs, w + 1.01 * d, 2 * d)
+    assert converged and abs(z - (w + d)) < 1e-9
+    assert not _newton_track(coeffs, w + 1.01 * d, 1e-9)[0]
+
+
+def test_newton_track_rejects_an_unresolved_cluster():
+    w, d = 0.7123 + 0.3071j, 1e-10
+    coeffs = _from_roots([w + d, w - d, -1.3 + 0.2j, 0.4 - 1.1j])
+    assert not _newton_track(coeffs, w + 1.01 * d, 2 * d)[0]

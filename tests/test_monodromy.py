@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspidal.braids import (
     BraidWord, braid_equal, compose_permutations, conjugate_power_witness,
@@ -13,10 +15,13 @@ from cuspidal.groups import (
     abelianization, add_projective_relation, todd_coxeter, van_kampen,
 )
 from cuspidal.monodromy import (
-    SweepError, braid_from_strand_paths, build_loops, connecting_braid,
-    default_basepoint, monodromy_factorization, strand_paths_svg,
+    SweepError, _start_roots, braid_from_strand_paths, build_loops,
+    connecting_braid, default_basepoint, fiber_evaluator,
+    monodromy_factorization, strand_paths_svg,
 )
-from cuspidal.quartic import critical_values, cuspidal_quartic
+from cuspidal.mpoly import MPoly
+from cuspidal.quartic import critical_values, cuspidal_quartic, sheared_curve
+from cuspidal.roots import _eval_error_bound
 
 import functools
 
@@ -141,3 +146,66 @@ def test_svg_output():
     result = factorization()
     svg = strand_paths_svg(result.strand_paths[0])
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def _exact_complex_value(coeffs, re, im):
+    """Ascending Fraction coefficients evaluated exactly at re + i im."""
+    acc_re, acc_im = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):
+        acc_re, acc_im = acc_re * re - acc_im * im + c, acc_re * im + acc_im * re
+    return acc_re, acc_im
+
+
+@settings(max_examples=40, deadline=None)
+@given(shear=st.fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=2000),
+       center=st.floats(-2.0, 1.0), dx=st.floats(-1.0, 1.0),
+       im=st.floats(-0.5, 0.5))
+def test_fiber_evaluator_matches_exact_evaluation(shear, center, dx, im):
+    re = center + dx
+    sheared = sheared_curve(cuspidal_quartic(), shear)
+    got = fiber_evaluator(sheared, center)(complex(re, im))
+    x = MPoly.variable("x", ("x",))
+    c = Fraction(center)
+    t = complex(re, im) - center
+    for value, poly in zip(got, sheared.equation.as_univariate("y")):
+        exact = _exact_complex_value(poly.univariate_coeffs("x"), Fraction(re), Fraction(im))
+        # Taylor coefficients at the center bound the Horner error in x - center
+        taylor = [float(b) for b in poly.compose({"x": x + c}, ("x",)).univariate_coeffs("x")]
+        error = abs(complex(Fraction(value.real) - exact[0], Fraction(value.imag) - exact[1]))
+        assert error <= _eval_error_bound(taylor, abs(t))
+
+
+def test_start_roots_share_real_parts_within_conjugate_pairs():
+    sheared = sheared_curve(cuspidal_quartic(), Fraction(1, 679))
+    roots = [r.value for r in _start_roots(sheared, 0.34010940278577345)]
+    assert all(abs(z.imag) > 0 for z in roots)  # two conjugate pairs
+    for lower, upper in (roots[:2], roots[2:]):
+        assert lower.real == upper.real
+        assert lower.imag < 0 < upper.imag
+
+
+# Inputs that an uncentred Horner evaluation without the rounding-floor
+# Newton stop turned into ContinuationError; the words are the ones an
+# exact-coefficient evaluation gives.
+@pytest.mark.parametrize("shear, basepoint, steps", [
+    (Fraction(1, 649), -1.024927601440149, 128),
+    (Fraction(1, 619), -1.0816233187986433, 64),
+])
+def test_words_near_the_split_cusps_are_stable(shear, basepoint, steps):
+    result = monodromy_factorization(basepoint=basepoint, shear=shear,
+                                     circle_steps=steps)
+    assert [list(f.letters) for f in result.factors] == [
+        [3, 1, 3, 1, 1, -3, -3], [3, 3, 3], [2], [2, 1, 3, 2, 2, 2, -1, -3, -2]]
+
+
+def test_smallest_shear_completes():
+    result = monodromy_factorization(basepoint=-0.3465, shear=Fraction(1, 1000),
+                                     circle_steps=32)
+    assert result.exponent_sums() == [3, 3, 1, 3]
+
+
+@pytest.mark.parametrize("basepoint", [-1.2225, -2.0])
+def test_complex_quadruple_fiber_gets_fallback_names(basepoint):
+    result = monodromy_factorization(basepoint=basepoint, shear=Fraction(1, 10))
+    assert result.strand_names == ["s1", "s2", "s3", "s4"]
+    assert result.exponent_sums() == [3, 3, 1, 3]
