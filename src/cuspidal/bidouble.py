@@ -183,11 +183,6 @@ def multiplication_matrices(cover=None):
     return MultTable(*tables)
 
 
-def mat_mul(a, b):
-    return [[sum((a[i][k] * b[k][j] for k in range(4)),
-                 MPoly.zero(a[0][0].variables)) for j in range(4)] for i in range(4)]
-
-
 def mat_sub(a, b):
     return [[a[i][j] - b[i][j] for j in range(4)] for i in range(4)]
 
@@ -245,11 +240,10 @@ def delta_c(c=None):
     delta_c = -U^2 V^2 - 9/8 U V c^2 + c^2 V^3 + U^3 + 27/256 c^4.
     """
     if c is None:
-        u, v, cc = ring("u", "v", "c")
-        return (-(u ** 2) * v ** 2 - Fraction(9, 8) * u * v * cc ** 2
-                + cc ** 2 * v ** 3 + u ** 3 + Fraction(27, 256) * cc ** 4)
-    u, v = ring("u", "v")
-    c = Fraction(c)
+        u, v, c = ring("u", "v", "c")
+    else:
+        u, v = ring("u", "v")
+        c = Fraction(c)
     return (-(u ** 2) * v ** 2 - Fraction(9, 8) * u * v * c ** 2
             + c ** 2 * v ** 3 + u ** 3 + Fraction(27, 256) * c ** 4)
 

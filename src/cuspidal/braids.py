@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+MAX_STATES = 20000  # words the conjugacy search visits at most
+
 
 def free_reduce(letters):
     out = []
@@ -25,11 +27,6 @@ def free_reduce(letters):
 
 def word_inverse(letters):
     return tuple(-g for g in reversed(letters))
-
-
-def word_conjugate(letters, by):
-    """by^-1 . letters . by, freely reduced."""
-    return free_reduce(word_inverse(by) + tuple(letters) + tuple(by))
 
 
 @dataclass(frozen=True)
@@ -66,10 +63,6 @@ class BraidWord:
 
     def to_json(self):
         return {"n": self.n_strands, "letters": list(self.letters)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["n"], tuple(data["letters"]))
 
     @classmethod
     def identity(cls, n):
@@ -233,7 +226,7 @@ def _shift_conjugator(n, j):
     return BraidWord(n, tuple(letters))
 
 
-def conjugate_power_witness(braid, max_states=20000):
+def conjugate_power_witness(braid):
     """If braid is a conjugate W sigma_1^k W^-1, return (k, W); else None.
 
     Searches the commutation-and-cyclic-rotation orbit of the word for a
@@ -274,7 +267,7 @@ def conjugate_power_witness(braid, max_states=20000):
                 moves.append((core[:i] + (core[i + 1], core[i]) + core[i + 2:], prefix))
         for nc, np in moves:
             nc, np = reduce_state(nc, np)
-            if nc not in seen and len(seen) < max_states:
+            if nc not in seen and len(seen) < MAX_STATES:
                 seen.add(nc)
                 queue.append((nc, np))
     return None

@@ -121,10 +121,11 @@ def winding_number_square(coeffs, center, half):
     return total
 
 
-def count_zeros_in_square(coeffs, center, half, retries=8):
-    """Winding number with small rational inflations on degenerate contours."""
+def count_zeros_in_square(coeffs, center, half):
+    """Winding number with small rational inflations on degenerate contours
+    (eight tries: half-width times 1 + k/97)."""
     h = Fraction(half)
-    for k in range(retries):
+    for k in range(8):
         try:
             return winding_number_square(coeffs, center, h * (1 + Fraction(k, 97)))
         except DegenerateContourError:

@@ -1,9 +1,10 @@
 """The acceptance checklist: every headline identity of the pipeline.
 
-Each criterion returns (passed, witness); tolerances are pinned here.
-Exact statements are checked exactly; the numeric ones carry the stated
-residual bounds.  `run_all` powers both the test suite and the CLI's
-reproduce-all subcommand.
+Each criterion and each surface step returns (passed, witness) through
+`run_check`, which turns an exception into a failed check; tolerances are
+pinned here.  Exact statements are checked exactly; the numeric ones carry
+the stated residual bounds.  `run_all` powers both the test suite and the
+CLI's reproduce-all subcommand.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import bidouble, braids, groups, monodromy, quartic, surface
 from .mpoly import MPoly, ring
@@ -229,88 +230,96 @@ def criterion_group_fingerprints():
 def criterion_s4_uniqueness():
     """Exactly one transitive transposition class, the distinguished one."""
     classes, tuple_count = groups.enumerate_homs_to_sym(
-        affine_complement_presentation(), 4, transpositions=True, transitive=True)
+        affine_complement_presentation(), 4)
     mu = (braids.transposition(4, 1, 2), braids.transposition(4, 2, 3),
           braids.transposition(4, 2, 4), braids.transposition(4, 1, 4))
-    import itertools
-    from .groups import _perm_inv, _perm_mul
-    rep = next(iter(classes.values())) if classes else None
-    contains_mu = rep is not None and any(
-        tuple(_perm_mul(_perm_mul(_perm_inv(s), g), s) for g in rep) == mu
-        for s in itertools.permutations(range(4)))
-    ok = len(classes) == 1 and contains_mu
+    ok = len(classes) == 1 and mu in groups.conjugates(next(iter(classes.values())), 4)
     return ok, {"classes": len(classes), "satisfying_tuples": tuple_count,
                 "images": [braids.cycle_notation(g) for g in mu]}
 
 
-def _map(fn, items, workers):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def criterion_surface_suite(seed=0, workers=1):
-    """The twisted-cubic surface checks, exact or below 1e-10.
-
-    All operations are pure, so the sampled subchecks may fan out over
-    threads (workers > 1) with a deterministic ordered merge.
-    """
-    steps = {}
-    steps["det_conic_square"] = surface.net_determinant_conic()[2]
-    steps["gradient_on_gamma"] = all(
-        surface.gradient_vanishing_on_cuspidal_curve().values())
-    steps["dg_minors"] = surface.developable_map_checks()["rank_locus"] == "w + 2s = 0"
-    steps["tangent_surface"] = surface.tangent_surface_identity()
-    dev = surface.express_p_in_quadrics()
-    steps["pinch_developable_zero"] = surface.pinch_discriminant(dev.matrix).is_zero()
-    steps["pinch_square_zero"] = surface.pinch_discriminant(
-        ((1, 0, 0), (0, 0, 0), (0, 0, 0))).is_zero()
+def surface_steps(seed=0):
+    """Run the twisted-cubic surface steps, each exact or below 1e-10:
+    (CheckResults, Gauss ranks)."""
     rng = random.Random(seed)
     samples = [surface.random_symmetric_matrix(rng) for _ in range(5)]
-    steps["pinch_random_simple"] = all(
-        _map(surface.pinch_roots_are_simple, samples, workers))
-    steps["unique_conic"] = surface.unique_quartic_check()
-    p_x = surface.p_in_x_coordinates()
     points = []
     for _ in range(5):
         s = Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
         h = Fraction(rng.randrange(1, 7), rng.randrange(1, 4))
         points.append(surface.tangent_point(s, h))
-    ranks = _map(lambda pt: surface.gauss_rank_at(p_x, pt), points, workers)
-    steps["gauss_rank_one"] = all(r == 1 for r in ranks)
-    steps["veronese_model"] = surface.veronese_bidouble_model_check()
-    steps["cone_vertices"] = surface.cone_vertex_check()
-    steps["conormal_zeros"] = surface.conormal_zero_property()
-    steps["tangency_vs_pinch"] = surface.tangency_matches_pinch_symbolically() != 0
-    return all(steps.values()), {"steps": steps, "gauss_ranks": ranks}
+    ranks = []
+
+    def gauss_rank_one():
+        p_x = surface.p_in_x_coordinates()
+        ranks.extend(surface.gauss_rank_at(p_x, pt) for pt in points)
+        return all(r == 1 for r in ranks)
+
+    steps = (
+        ("det_conic_square", lambda: surface.net_determinant_conic()[2]),
+        ("gradient_on_gamma", lambda: all(
+            surface.gradient_vanishing_on_cuspidal_curve().values())),
+        ("dg_minors", lambda: surface.developable_map_checks()["rank_locus"]
+         == "w + 2s = 0"),
+        ("tangent_surface", surface.tangent_surface_identity),
+        ("pinch_developable_zero", lambda: surface.pinch_discriminant(
+            surface.express_p_in_quadrics().matrix).is_zero()),
+        ("pinch_square_zero", lambda: surface.pinch_discriminant(
+            ((1, 0, 0), (0, 0, 0), (0, 0, 0))).is_zero()),
+        ("pinch_random_simple", lambda: all(
+            surface.pinch_roots_are_simple(f)
+            == surface.dual_meets_veronese_transversally(f) for f in samples)),
+        ("unique_conic", surface.unique_quartic_check),
+        ("gauss_rank_one", gauss_rank_one),
+        ("veronese_model", surface.veronese_bidouble_model_check),
+        ("cone_vertices", surface.cone_vertex_check),
+        ("conormal_zeros", surface.conormal_zero_property),
+        ("tangency_vs_pinch", lambda: surface.tangency_matches_pinch_symbolically() != 0),
+    )
+    return [run_check(name, lambda step=step: (step(), {})) for name, step in steps], ranks
 
 
-CRITERIA = (
-    ("discriminant_identity", criterion_discriminant_identity),
-    ("scaling_identity", criterion_scaling_identity),
-    ("cusp_locations", criterion_cusp_locations),
-    ("curve_duality", criterion_curve_duality),
-    ("real_fiber_table", criterion_real_fiber_table),
-    ("theta_identities", criterion_theta_identities),
-    ("braid_monodromy", criterion_braid_monodromy),
-    ("sigma_action", criterion_sigma_action),
-    ("group_fingerprints", criterion_group_fingerprints),
-    ("s4_uniqueness", criterion_s4_uniqueness),
-    ("surface_suite", criterion_surface_suite),
-)
+def criterion_surface_suite(seed=0):
+    """Every surface step passes; the witness maps each step to its verdict,
+    or to its exception witness when it raised."""
+    steps, ranks = surface_steps(seed)
+    return all(r.passed for r in steps), {
+        "steps": {r.name: r.witness or r.passed for r in steps}, "gauss_ranks": ranks}
 
 
-def run_all(seed=0, workers=1):
+def criteria(seed=0):
+    """The checklist as (name, thunk) pairs, the surface suite bound to seed."""
+    return (
+        ("discriminant_identity", criterion_discriminant_identity),
+        ("scaling_identity", criterion_scaling_identity),
+        ("cusp_locations", criterion_cusp_locations),
+        ("curve_duality", criterion_curve_duality),
+        ("real_fiber_table", criterion_real_fiber_table),
+        ("theta_identities", criterion_theta_identities),
+        ("braid_monodromy", criterion_braid_monodromy),
+        ("sigma_action", criterion_sigma_action),
+        ("group_fingerprints", criterion_group_fingerprints),
+        ("s4_uniqueness", criterion_s4_uniqueness),
+        ("surface_suite", partial(criterion_surface_suite, seed)),
+    )
+
+
+def exception_witness(exc):
+    """The witness of a check that raised: exception type name and message."""
+    return {"exception": type(exc).__name__, "message": str(exc)}
+
+
+def run_check(name, thunk):
+    """Call thunk() -> (passed, witness) and time it; an exception becomes a
+    failed check whose witness is exception_witness(exc)."""
+    start = time.perf_counter()
+    try:
+        passed, witness = thunk()
+    except Exception as exc:
+        passed, witness = False, exception_witness(exc)
+    return CheckResult(name, bool(passed), witness, time.perf_counter() - start)
+
+
+def run_all(seed=0):
     """Run the full checklist and return CheckResults in criterion order."""
-    results = []
-    for name, fn in CRITERIA:
-        start = time.perf_counter()
-        if fn is criterion_surface_suite:
-            passed, witness = fn(seed=seed, workers=workers)
-        else:
-            passed, witness = fn()
-        results.append(CheckResult(name, bool(passed), witness,
-                                   time.perf_counter() - start))
-    return results
+    return [run_check(name, thunk) for name, thunk in criteria(seed)]

@@ -8,27 +8,15 @@ rationals are printed as "p/q" strings, floats with 15 significant digits.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
 from . import bidouble, braids, checks, groups, monodromy, quartic
 from .continuation import ContinuationError
 from .roots import RootFindingError
-
-
-def _workers():
-    """CUSPIDAL_THREADS selects the thread count for sampled checks."""
-    raw = os.environ.get("CUSPIDAL_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit(f"CUSPIDAL_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise SystemExit("CUSPIDAL_THREADS must be at least 1")
-    return n
 
 
 def _round15(x):
@@ -61,14 +49,17 @@ def _fraction_arg(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _finite_float(text):
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+def _finite(kind):
+    """Argument type: kind(text) (float or complex), rejecting nan and inf."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+        if not cmath.isfinite(value):
+            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        return value
+    return parse
 
 
 def _report(command, inputs, results, check_list):
@@ -137,7 +128,12 @@ def cmd_curve_checks(args):
 
 def cmd_fiber(args):
     curve = quartic.cuspidal_quartic()
-    roots = quartic.fiber_solve(curve, args.x, mode=args.mode)
+    inputs = {"x": args.x, "mode": args.mode}
+    try:
+        roots = quartic.fiber_solve(curve, args.x, mode=args.mode)
+    except OverflowError as exc:
+        return _report("fiber", inputs, {"x": args.x},
+                       [("root_count", False, checks.exception_witness(exc))])
     results = {"x": args.x, "roots": [
         {"value": r.value, "radius": r.radius, "multiplicity": r.multiplicity}
         for r in roots]}
@@ -155,7 +151,7 @@ def cmd_fiber(args):
             results["pattern"] = "critical"
     total = sum(r.multiplicity for r in roots)
     check_list.append(("root_count", total == 4, {"total_multiplicity": total}))
-    return _report("fiber", {"x": args.x, "mode": args.mode}, results, check_list)
+    return _report("fiber", inputs, results, check_list)
 
 
 def cmd_critical_values(args):
@@ -177,8 +173,7 @@ def cmd_monodromy(args):
             basepoint=basepoint, shear=args.shear, keep_paths=args.out == "svg")
     except (ContinuationError, RootFindingError, monodromy.SweepError) as exc:
         return _report("monodromy", inputs, {},
-                       [("braid_monodromy", False,
-                         {"exception": type(exc).__name__, "message": str(exc)})])
+                       [("braid_monodromy", False, checks.exception_witness(exc))])
     if args.out == "svg":
         merged = [p for family in result.strand_paths for p in family]
         print(monodromy.strand_paths_svg(merged))
@@ -200,7 +195,7 @@ def cmd_vankampen(args):
     results = {"presentation": p.to_json(), "abelianization": ab}
     check_list = []
     if args.projective:
-        order = groups.todd_coxeter(p, max_cosets=10 ** 4)
+        order = groups.todd_coxeter(p, max_cosets=checks.MAX_COSETS)
         results["order"] = order
         check_list.append(("projective_fingerprint", ab == [4] and order == 12,
                            {"abelianization": ab, "order": order}))
@@ -218,21 +213,19 @@ def cmd_vankampen(args):
 def cmd_enumerate_homs(args):
     n = {"s3": 3, "s4": 4}[args.target]
     p = checks.affine_complement_presentation()
-    classes, tuple_count = groups.enumerate_homs_to_sym(
-        p, n, transpositions=args.transpositions, transitive=args.transitive)
+    classes, tuple_count = groups.enumerate_homs_to_sym(p, n)
     reps = [[braids.cycle_notation(g) for g in rep] for rep in classes.values()]
     results = {"class_count": len(classes), "satisfying_tuples": tuple_count,
                "representatives": reps}
-    check_list = []
-    if args.target == "s4" and args.transpositions and args.transitive:
+    if args.target == "s4":
         passed, witness = checks.criterion_s4_uniqueness()
-        check_list.append(("s4_uniqueness", passed, witness))
-    else:
-        check_list.append(("enumeration_ran", True, {"classes": len(classes)}))
-    return _report("enumerate-homs",
-                   {"target": args.target, "transpositions": args.transpositions,
-                    "transitive": args.transitive},
-                   results, check_list)
+        check = ("s4_uniqueness", passed, witness)
+    else:  # the classes are the conjugation orbits of the tuples
+        orbits = sum(math.factorial(n) // groups.centralizer_order(rep, n)
+                     for rep in classes.values())
+        check = ("orbit_count", orbits == tuple_count,
+                 {"satisfying_tuples": tuple_count, "orbit_sizes_sum": orbits})
+    return _report("enumerate-homs", {"target": args.target}, results, [check])
 
 
 def cmd_coset_order(args):
@@ -253,16 +246,15 @@ def cmd_coset_order(args):
 
 
 def cmd_surface_checks(args):
-    passed, witness = checks.criterion_surface_suite(seed=args.seed,
-                                                     workers=_workers())
-    check_list = [(name, bool(ok), {}) for name, ok in witness["steps"].items()]
-    results = {"gauss_ranks": witness["gauss_ranks"],
+    steps, ranks = checks.surface_steps(args.seed)
+    check_list = [(r.name, r.passed, r.witness) for r in steps]
+    results = {"gauss_ranks": ranks,
                "determinant_conic": "det(l.Q) = (1/16)(l0 l2 - l1^2)^2"}
     return _report("surface-checks", {"seed": args.seed}, results, check_list)
 
 
 def cmd_reproduce_all(args):
-    results = checks.run_all(seed=args.seed, workers=_workers())
+    results = checks.run_all(seed=args.seed)
     check_list = [(r.name, r.passed, r.witness) for r in results]
     summary = {"criteria": len(results),
                "passed": sum(1 for r in results if r.passed)}
@@ -288,7 +280,7 @@ def build_parser():
     add("curve-checks", cmd_curve_checks, help="duality and Theta identities")
 
     p_fiber = add("fiber", cmd_fiber, help="fiber roots over a given x")
-    p_fiber.add_argument("--x", type=complex, required=True)
+    p_fiber.add_argument("--x", type=_finite(complex), required=True)
     p_fiber.add_argument("--mode", choices=("simple", "cluster"), default="cluster")
 
     p_crit = add("critical-values", cmd_critical_values,
@@ -297,7 +289,7 @@ def build_parser():
 
     p_mono = add("monodromy", cmd_monodromy, help="braid monodromy factorization")
     p_mono.add_argument("--shear", type=_fraction_arg, default=monodromy.DEFAULT_SHEAR)
-    p_mono.add_argument("--basepoint", type=_finite_float, default=None)
+    p_mono.add_argument("--basepoint", type=_finite(float), default=None)
 
     p_vk = add("vankampen", cmd_vankampen, help="complement group presentation")
     p_vk.add_argument("--source", choices=("fixture", "computed"), default="fixture")
@@ -306,8 +298,6 @@ def build_parser():
     p_homs = add("enumerate-homs", cmd_enumerate_homs,
                  help="homomorphisms to symmetric groups")
     p_homs.add_argument("--target", choices=("s3", "s4"), default="s4")
-    p_homs.add_argument("--transpositions", action="store_true", default=True)
-    p_homs.add_argument("--transitive", action="store_true", default=True)
 
     p_coset = add("coset-order", cmd_coset_order, help="Todd-Coxeter group order")
     p_coset.add_argument("--presentation", choices=("affine", "projective"),

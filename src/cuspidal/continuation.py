@@ -5,8 +5,8 @@ the new fiber; a step is accepted only when every Newton run converges (see
 ``_newton_track``) and every corrected move stays below a third of the
 current minimum pairwise strand separation.  This is a heuristic, not a
 certificate: it does not exclude two strands crossing between samples.
-Rejected steps are halved, 40 times at most, then the failure is reported
-loudly.
+Rejected steps are halved, HALVING_BUDGET times at most, then the failure
+is reported loudly.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 from .roots import (_certified_radius, _eval_error_bound, eval_poly,
                     eval_poly_deriv, roots_univariate)
+
+HALVING_BUDGET = 40
 
 
 class ContinuationError(RuntimeError):
@@ -49,9 +51,6 @@ class StrandPath:
     strand_id: int
     samples: list  # (parameter in [0,1], complex position)
 
-    def position(self, k):
-        return self.samples[k][1]
-
 
 def _newton_track(coeffs, z, sep, tol=5e-13, iterations=24):
     """Newton iteration returning (converged, new position).
@@ -85,19 +84,15 @@ def _min_pairwise(points):
     return best if best is not None else float("inf")
 
 
-def continue_roots(fiber_coeffs, path, initial=None, halving_budget=40,
-                   avoid=None, clearance=0.0):
+def continue_roots(fiber_coeffs, path, initial=None):
     """Track all simple fiber roots along a piecewise-linear path of x values.
 
     fiber_coeffs(x) must return the ascending coefficient list of the fiber
     polynomial at x.  Returns one StrandPath per root; strand k starts at the
-    k-th initial root.  The final samples sit at parameter 1.  When ``avoid``
-    lists critical values, the path is required to clear them by ``clearance``.
+    k-th initial root.  The final samples sit at parameter 1.
     """
     if len(path) < 1:
         raise ValueError("empty path")
-    if avoid:
-        check_clearance(path, avoid, clearance)
     if initial is None:
         initial = roots_univariate(fiber_coeffs(path[0]), mode="simple")
     positions = [complex(r.value) for r in initial]
@@ -126,10 +121,10 @@ def continue_roots(fiber_coeffs, path, initial=None, halving_budget=40,
                 new.append(z2)
             if ok:
                 return [(x_to, new)]
-            if depth >= halving_budget:
+            if depth >= HALVING_BUDGET:
                 raise ContinuationError(
                     f"step from {x_from:.6g} to {x_to:.6g} kept failing after "
-                    f"{halving_budget} halvings")
+                    f"{HALVING_BUDGET} halvings")
             mid = (x_from + x_to) / 2
             first = advance(x_from, mid, pos, depth + 1)
             second = advance(mid, x_to, first[-1][1], depth + 1)

@@ -170,17 +170,6 @@ def rational_roots(p):
     return found, p
 
 
-def root_multiplicity(p, x):
-    """Order of vanishing of p at rational x."""
-    m = 0
-    x = Fraction(x)
-    while p and evaluate(p, x) == 0:
-        p, r = divmod_exact(p, [-x, Fraction(1)])
-        assert not r
-        m += 1
-    return m
-
-
 def sturm_chain(p):
     chain = [trim(p), derivative(p)]
     while chain[-1]:

@@ -17,6 +17,7 @@ from .braids import artin_action, free_reduce, word_inverse
 from .linalg import invariant_factors
 
 OVERFLOW = "overflow"
+TIETZE_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,6 @@ class Presentation:
     def to_json(self):
         return {"generators": list(self.generator_names),
                 "relators": [list(r) for r in self.relators]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(data["generators"]), tuple(tuple(r) for r in data["relators"]))
 
 
 def _cyclic_reduce_word(word):
@@ -250,10 +247,7 @@ def coset_action(p, max_cosets=100000):
         perms.append(tuple(perm))
     for r in p.relators:
         for start in range(len(live)):
-            here = start
-            for g in r:
-                here = perms[abs(g) - 1][here] if g > 0 else perms[abs(g) - 1].index(here)
-            if here != start:
+            if perm_word(r, perms, start) != start:
                 raise RuntimeError("coset table is not closed under a relator")
     return len(live), perms
 
@@ -326,34 +320,37 @@ def _search_homs(p, n, pools, transitive):
     yield from recurse(0, [])
 
 
-def enumerate_homs_to_sym(p, n, transpositions=True, transitive=True):
+def conjugates(images, n):
+    """The tuple conjugated by each s in S_n, in a fixed order of S_n."""
+    return [tuple(_perm_mul(_perm_mul(_perm_inv(s), g), s) for g in images)
+            for s in itertools.permutations(range(n))]
+
+
+def enumerate_homs_to_sym(p, n):
     """Homomorphism classes into S_n under simultaneous conjugation.
 
-    With the default constraints the images must all be transpositions and
-    generate a transitive subgroup.  Returns (classes, tuple_count) where
-    classes maps a canonical image tuple to its representative and
-    tuple_count is the raw number of satisfying tuples before conjugacy
-    reduction.
+    The images must all be transpositions and generate a transitive
+    subgroup.  Returns (classes, tuple_count) where classes maps a canonical
+    image tuple to its representative and tuple_count is the raw number of
+    satisfying tuples before conjugacy reduction.
     """
     if n > 6:
         raise ValueError("brute force is meant for n <= 6")
-    if transpositions:
-        pool = []
-        for a, b in itertools.combinations(range(n), 2):
-            q = list(range(n))
-            q[a], q[b] = q[b], q[a]
-            pool.append(tuple(q))
-    else:
-        pool = list(itertools.permutations(range(n)))
-    sym = list(itertools.permutations(range(n)))
-    found = list(_search_homs(p, n, [pool] * p.n_generators, transitive))
+    pool = []
+    for a, b in itertools.combinations(range(n), 2):
+        q = list(range(n))
+        q[a], q[b] = q[b], q[a]
+        pool.append(tuple(q))
+    found = list(_search_homs(p, n, [pool] * p.n_generators, transitive=True))
     classes = {}
     for images in found:
-        canon = min(
-            tuple(_perm_mul(_perm_mul(_perm_inv(s), g), s) for g in images)
-            for s in sym)
-        classes.setdefault(canon, images)
+        classes.setdefault(min(conjugates(images, n)), images)
     return classes, len(found)
+
+
+def centralizer_order(images, n):
+    """Number of s in S_n that fix the tuple under simultaneous conjugation."""
+    return conjugates(images, n).count(tuple(images))
 
 
 # -- Tietze simplification -----------------------------------------------------------
@@ -403,18 +400,19 @@ def _find_subword(word, sub):
     return -1
 
 
-def tietze_simplify(p, budget=200):
+def tietze_simplify(p):
     """Eliminate redundant generators and shorten relators.
 
     Generators defined by a relator in which they occur exactly once are
     substituted away; relators are shortened against each other by
     replacing long shared subwords.  Deterministic order, never increases
-    the generator count.  Returns (presentation, budget_exhausted).
+    the generator count.  Returns (presentation, budget_exhausted), the
+    budget being TIETZE_STEPS rounds.
     """
     names = list(p.generator_names)
     relators = _dedupe_relators(p.relators)
     steps = 0
-    while steps < budget:
+    while steps < TIETZE_STEPS:
         steps += 1
         changed = False
         # generator elimination, smallest defining relator first; when a
@@ -481,7 +479,7 @@ def fingerprint(p, max_cosets=20000):
     (abelianization, coset order or 'overflow', #homs to S3,
      #transposition-transitive classes into S4)
     """
-    classes, _ = enumerate_homs_to_sym(p, 4, transpositions=True, transitive=True)
+    classes, _ = enumerate_homs_to_sym(p, 4)
     return (tuple(abelianization(p)),
             todd_coxeter(p, max_cosets),
             count_homs(p, 3),

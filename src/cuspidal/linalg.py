@@ -76,10 +76,6 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def smith_normal_form(rows):
     """Diagonal entries of the Smith normal form of an integer matrix."""
     m = [[int(x) for x in row] for row in rows]

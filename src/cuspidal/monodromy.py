@@ -26,6 +26,8 @@ from .quartic import (classify_real_fiber, critical_values, cuspidal_quartic,
 from .roots import roots_univariate
 
 DEFAULT_SHEAR = Fraction(1, 100)
+DETOUR_STEPS = 8  # waypoints on each semicircular detour
+MAX_ROTATIONS = 16  # sweep retries, each rotating the fiber plane by pi/17
 
 
 def default_basepoint():
@@ -75,7 +77,7 @@ class MonodromyResult:
         }
 
 
-def _axis_walk(x_from, x_to, obstacles, r_detour, detour_steps):
+def _axis_walk(x_from, x_to, obstacles, r_detour):
     """Real-axis walk with counterclockwise semicircle detours above obstacles."""
     direction = 1.0 if x_to > x_from else -1.0
     lo, hi = min(x_from, x_to), max(x_from, x_to)
@@ -87,17 +89,18 @@ def _axis_walk(x_from, x_to, obstacles, r_detour, detour_steps):
         pts.append(complex(entry))
         # counterclockwise half-turn: from the approach side over the top
         start = 0.0 if direction < 0 else math.pi
-        for k in range(1, detour_steps + 1):
-            ang = start + math.pi * k / detour_steps
+        for k in range(1, DETOUR_STEPS + 1):
+            ang = start + math.pi * k / DETOUR_STEPS
             pts.append(o + r_detour * cmath.exp(1j * ang))
     pts.append(complex(x_to))
     return pts
 
 
-def build_loops(criticals, basepoint, circle_radius=None, circle_steps=32,
-                detour_steps=8):
+def build_loops(criticals, basepoint, circle_steps=32):
     """Loop waypoint lists in counterclockwise cyclic order: left targets
-    farthest first, then right targets nearest first."""
+    farthest first, then right targets nearest first.  Circles have a
+    quarter of the smallest distance among critical values and basepoint
+    as radius."""
     reals = []
     for value, mult in criticals:
         value = complex(value)
@@ -108,7 +111,7 @@ def build_loops(criticals, basepoint, circle_radius=None, circle_steps=32,
     values = [v for v, _ in reals]
     gaps = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]]
     dmin = min(gaps + [min(abs(basepoint - v) for v in values)])
-    r = circle_radius if circle_radius is not None else dmin / 4
+    r = dmin / 4
     r_detour = min(2 * r, dmin / 3)
     left = sorted((v, m) for v, m in reals if v < basepoint)
     right = sorted((v, m) for v, m in reals if v > basepoint)
@@ -117,7 +120,7 @@ def build_loops(criticals, basepoint, circle_radius=None, circle_steps=32,
         side = 1.0 if basepoint > v else -1.0
         approach = v + side * r
         obstacles = [w for w in values if w != v]
-        walk = _axis_walk(basepoint, approach, obstacles, r_detour, detour_steps)
+        walk = _axis_walk(basepoint, approach, obstacles, r_detour)
         start_angle = 0.0 if side > 0 else math.pi
         circle = [v + r * cmath.exp(1j * (start_angle + 2 * math.pi * k / circle_steps))
                   for k in range(1, circle_steps + 1)]
@@ -178,7 +181,7 @@ def _sweep(paths, rotation):
     return letters
 
 
-def braid_from_strand_paths(paths, max_rotations=16):
+def braid_from_strand_paths(paths):
     """Sweep a family of sampled strand paths into a braid word.
 
     The fiber plane is rotated by k pi/17 until every crossing is a clean
@@ -193,14 +196,14 @@ def braid_from_strand_paths(paths, max_rotations=16):
         if [t for t, _ in p.samples] != times:
             raise SweepError("strand paths are not sampled at common parameters")
     last = None
-    for attempt in range(max_rotations + 1):
+    for attempt in range(MAX_ROTATIONS + 1):
         rotation = cmath.exp(1j * math.pi * attempt / 17)
         try:
             letters = _sweep(paths, rotation)
             return BraidWord(n, free_reduce(tuple(letters)))
         except _Ambiguous as exc:
             last = exc
-    raise SweepError(f"sweep stayed ambiguous after {max_rotations} rotations: {last}")
+    raise SweepError(f"sweep stayed ambiguous after {MAX_ROTATIONS} rotations: {last}")
 
 
 def fiber_evaluator(sheared, center):

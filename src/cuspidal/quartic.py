@@ -307,14 +307,14 @@ def discriminant_poly(curve):
     return res.primitive()
 
 
-def critical_values(curve, shear=Fraction(0), cluster_tol=1e-6):
+def critical_values(curve, shear=Fraction(0)):
     """Critical values of the sheared projection, with multiplicities.
 
     The exact discriminant is split by Yun's squarefree decomposition, so
     rational critical values come out exactly with certified orders and
     the remaining ones are simple roots of exact squarefree factors,
-    found numerically with tiny certificates.  Centers closer than
-    cluster_tol are merged with summed order.
+    found numerically with tiny certificates.  Centers closer than 1e-6
+    are merged with summed order.
     """
     sheared = sheared_curve(curve, shear)
     disc = discriminant_poly(sheared)
@@ -332,7 +332,7 @@ def critical_values(curve, shear=Fraction(0), cluster_tol=1e-6):
                 out.append((value, mult))
     merged = []
     for value, mult in sorted(out, key=lambda s: (s[0].real, s[0].imag)):
-        if merged and abs(merged[-1][0] - value) < cluster_tol:
+        if merged and abs(merged[-1][0] - value) < 1e-6:
             prev = merged.pop()
             merged.append(((prev[0] * prev[1] + value * mult) / (prev[1] + mult),
                            prev[1] + mult))

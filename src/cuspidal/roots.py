@@ -141,7 +141,7 @@ def _merge_clusters(roots, inflation=2.0):
     return merged
 
 
-def roots_univariate(coeffs, mode="simple", tol=1e-13, max_iter=200):
+def roots_univariate(coeffs, mode="simple"):
     """All complex roots of an ascending coefficient list, with certified radii.
 
     'simple' requires pairwise disjoint inclusion disks and multiplicity 1
@@ -162,7 +162,7 @@ def roots_univariate(coeffs, mode="simple", tol=1e-13, max_iter=200):
         if len(coeffs) == 2:
             approx = [-coeffs[0] / coeffs[1]]
         else:
-            approx = _aberth(coeffs, tol=tol, max_iter=max_iter)
+            approx = _aberth(coeffs)
         approx = [newton_polish(coeffs, z) for z in approx]
         radii = [_certified_radius(coeffs, z) for z in approx]
         for i, r in enumerate(radii):

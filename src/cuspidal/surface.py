@@ -26,6 +26,20 @@ from .mpoly import MPoly, determinant, homogeneous_sqrt, ring
 X_VARS = ("x0", "x1", "x2", "x3")
 T_VARS = ("t0", "t1")
 L_VARS = ("l0", "l1", "l2")
+# the Veronese conic l0 l2 - l1^2, traced by gamma-tilde(t) = (1, t, t^2)
+VERONESE = ((0, 0, Fraction(1, 2)), (0, -1, 0), (Fraction(1, 2), 0, 0))
+
+
+def _symmetric_matrix(matrix, n):
+    """matrix as an n x n tuple of Fractions; ValueError unless symmetric."""
+    m = tuple(tuple(Fraction(e) for e in row) for row in matrix)
+    if len(m) != n or any(len(r) != n for r in m):
+        raise ValueError(f"need a symmetric {n}x{n} matrix")
+    for i in range(n):
+        for j in range(i):
+            if m[i][j] != m[j][i]:
+                raise ValueError("matrix is not symmetric")
+    return m
 
 
 @dataclass(frozen=True)
@@ -34,14 +48,7 @@ class QuadricForm:
     matrix: tuple
 
     def __post_init__(self):
-        m = tuple(tuple(Fraction(e) for e in row) for row in self.matrix)
-        if len(m) != 4 or any(len(r) != 4 for r in m):
-            raise ValueError("need a 4x4 matrix")
-        for i in range(4):
-            for j in range(4):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("matrix is not symmetric")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _symmetric_matrix(self.matrix, 4))
 
     def form(self):
         xs = ring(*X_VARS)
@@ -59,18 +66,11 @@ class QuadricForm:
 
 @dataclass(frozen=True)
 class ConicForm:
-    """Symmetric 3x3 form; entries rational or polynomial."""
+    """Symmetric 3x3 rational form."""
     matrix: tuple
 
     def __post_init__(self):
-        m = tuple(tuple(row) for row in self.matrix)
-        if len(m) != 3 or any(len(r) != 3 for r in m):
-            raise ValueError("need a 3x3 matrix")
-        for i in range(3):
-            for j in range(3):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("matrix is not symmetric")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _symmetric_matrix(self.matrix, 3))
 
     def value(self, y):
         return sum(self.matrix[i][j] * y[i] * y[j]
@@ -99,11 +99,6 @@ def quadrics_through_twisted_cubic():
     assert q1.form() == -xs[0] * xs[3] + xs[1] * xs[2]
     assert q2.form() == xs[0] * xs[2] - xs[1] ** 2
     return q0, q1, q2
-
-
-def catalecticant():
-    xs = ring(*X_VARS)
-    return ((xs[0], xs[1], xs[2]), (xs[1], xs[2], xs[3]))
 
 
 def quadrics_vanish_on_cubic():
@@ -194,20 +189,6 @@ def cone_vertex_check(samples=(0, 1, -1, 2, Fraction(1, 2))):
 # -- conormal data -----------------------------------------------------------
 
 _QUAD_MONOS = ((2, 0), (1, 1), (0, 2))
-
-
-def _section_times_vector(section, vector_polys):
-    """Dot a quadratic-component section (4x3 Fractions) with polynomial 4-vector."""
-    t0, t1 = ring(*T_VARS)
-    monos = [t0 * t0, t0 * t1, t1 * t1]
-    acc = MPoly.zero(T_VARS)
-    for comp in range(4):
-        part = MPoly.zero(T_VARS)
-        for k, mono in enumerate(monos):
-            if section[comp][k]:
-                part = part + section[comp][k] * mono
-        acc = acc + part * vector_polys[comp]
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -305,22 +286,31 @@ def conormal_sections():
     return tuple(out)
 
 
-def _linear_poly(pair):
-    t0, t1 = ring(*T_VARS)
-    return pair[0] * t0 + pair[1] * t1
-
-
-def _check_conic_matrix(f):
-    m = tuple(tuple(Fraction(e) for e in row) for row in f)
-    if len(m) != 3 or any(len(r) != 3 for r in m):
-        raise ValueError("F must be a symmetric 3x3 matrix")
-    for i in range(3):
-        for j in range(3):
-            if m[i][j] != m[j][i]:
-                raise ValueError("F must be symmetric")
+def _conic_matrix(f):
+    """F as a symmetric 3x3 Fraction matrix, rejecting the zero matrix."""
+    m = _symmetric_matrix(f, 3)
     if all(e == 0 for row in m for e in row):
         raise ValueError("degenerate F: the zero matrix")
     return m
+
+
+def _pinch_form(entry, variables):
+    """4 A B - C^2 over Q[variables] (which include t0, t1), where
+    A = sum F_ij a_i a_j, B = sum F_ij b_i b_j, C = sum F_ij (a_i b_j + b_i a_j)
+    pair the conormal sections with F_ij = entry(i, j), a rational or a
+    polynomial."""
+    t0, t1 = (MPoly.variable(v, variables) for v in T_VARS)
+    sections = conormal_sections()
+    a_polys = [a[0] * t0 + a[1] * t1 for a, _ in sections]
+    b_polys = [b[0] * t0 + b[1] * t1 for _, b in sections]
+    A = B = C = MPoly.zero(variables)
+    for i in range(3):
+        for j in range(3):
+            f = entry(i, j)
+            A = A + f * a_polys[i] * a_polys[j]
+            B = B + f * b_polys[i] * b_polys[j]
+            C = C + f * (a_polys[i] * b_polys[j] + b_polys[i] * a_polys[j])
+    return 4 * A * B - C * C
 
 
 def pinch_discriminant(f):
@@ -330,22 +320,8 @@ def pinch_discriminant(f):
     (F_ij Q_i Q_j summed over all i, j).  Zero iff the parameter is a
     pinch point of the quartic surface sum F_ij Q_i Q_j.
     """
-    m = _check_conic_matrix(f)
-    sections = conormal_sections()
-    a_polys = [_linear_poly(a) for a, _ in sections]
-    b_polys = [_linear_poly(b) for _, b in sections]
-    zero = MPoly.zero(T_VARS)
-    A = zero
-    B = zero
-    C = zero
-    for i in range(3):
-        for j in range(3):
-            if m[i][j] == 0:
-                continue
-            A = A + m[i][j] * a_polys[i] * a_polys[j]
-            B = B + m[i][j] * b_polys[i] * b_polys[j]
-            C = C + m[i][j] * (a_polys[i] * b_polys[j] + b_polys[i] * a_polys[j])
-    return 4 * A * B - C * C
+    m = _conic_matrix(f)
+    return _pinch_form(lambda i, j: m[i][j], T_VARS)
 
 
 def pinch_roots_are_simple(f):
@@ -363,10 +339,25 @@ def pinch_roots_are_simple(f):
     return xp.degree(xp.gcd(d, xp.derivative(d))) == 0
 
 
+def dual_meets_veronese_transversally(f):
+    """Exact: the dual conic adj(F) meets the Veronese conic in four
+    distinct points, i.e. det(adj F + t V) is a squarefree cubic in t.
+
+    Delta(F) is proportional to gamma-tilde(t)^T adj(F) gamma-tilde(t)
+    (see tangency_matches_pinch_symbolically), so this holds exactly when
+    pinch_roots_are_simple(F) does.
+    """
+    adj = adjugate(_conic_matrix(f))
+    (t,) = ring("t")
+    cubic = determinant([[adj[i][j] + VERONESE[i][j] * t for j in range(3)]
+                         for i in range(3)]).univariate_coeffs("t")
+    return xp.degree(xp.gcd(cubic, xp.derivative(cubic))) == 0
+
+
 def tangency_condition(f, t):
     """Discriminant of the conic C_F restricted to the line dual to
     gamma-tilde(t); zero iff the conic is tangent there."""
-    m = _check_conic_matrix(f)
+    m = _conic_matrix(f)
     lam = gamma_tilde(t)
     pivot = max(range(3), key=lambda i: abs(lam[i]))
     others = [i for i in range(3) if i != pivot]
@@ -393,27 +384,13 @@ def tangency_matches_pinch_symbolically():
     lvars = ("l00", "l01", "l02", "l11", "l12", "l22")
     big = T_VARS + lvars
     gens = {name: MPoly.variable(name, big) for name in big}
+    zero = MPoly.zero(big)
 
     def lam_entry(i, j):
         key = f"l{min(i, j)}{max(i, j)}"
         return gens[key]
 
-    sections = conormal_sections()
-    a_polys = [(sections[i][0][0] * gens["t0"] + sections[i][0][1] * gens["t1"])
-               for i in range(3)]
-    b_polys = [(sections[i][1][0] * gens["t0"] + sections[i][1][1] * gens["t1"])
-               for i in range(3)]
-    zero = MPoly.zero(big)
-    A = zero
-    B = zero
-    C = zero
-    for i in range(3):
-        for j in range(3):
-            lij = lam_entry(i, j)
-            A = A + lij * a_polys[i] * a_polys[j]
-            B = B + lij * b_polys[i] * b_polys[j]
-            C = C + lij * (a_polys[i] * b_polys[j] + b_polys[i] * a_polys[j])
-    delta = 4 * A * B - C * C
+    delta = _pinch_form(lam_entry, big)
 
     # restriction to the dual line of (t0^2, t0 t1, t1^2), basis valid off t1=0
     k1 = (gens["t1"] ** 2, zero, -(gens["t0"] ** 2))
@@ -531,12 +508,8 @@ def express_p_in_quadrics():
     return ConicForm(tuple(tuple(r) for r in m))
 
 
-def dual_conic_of_gamma_tilde():
-    """Adjugate of the Veronese conic l0 l2 - l1^2."""
-    g = [[Fraction(0), Fraction(0), Fraction(1, 2)],
-         [Fraction(0), Fraction(-1), Fraction(0)],
-         [Fraction(1, 2), Fraction(0), Fraction(0)]]
-    # adjugate of a 3x3 symmetric matrix
+def adjugate(g):
+    """Adjugate of a 3x3 matrix, as a tuple of tuples."""
     adj = [[Fraction(0)] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(3):
@@ -545,7 +518,12 @@ def dual_conic_of_gamma_tilde():
             minor = (g[rows[0]][cols[0]] * g[rows[1]][cols[1]]
                      - g[rows[0]][cols[1]] * g[rows[1]][cols[0]])
             adj[j][i] = minor * (-1) ** (i + j)
-    return ConicForm(tuple(tuple(r) for r in adj))
+    return tuple(tuple(r) for r in adj)
+
+
+def dual_conic_of_gamma_tilde():
+    """Adjugate of the Veronese conic l0 l2 - l1^2."""
+    return ConicForm(adjugate(VERONESE))
 
 
 def proportional_matrices(m1, m2):

@@ -8,21 +8,16 @@ import time
 
 import pytest
 
-from cuspidal.checks import CRITERIA, criterion_surface_suite, run_all
+from cuspidal.checks import criteria, run_all, run_check
 
 
-@pytest.mark.parametrize("name,fn", CRITERIA, ids=[n for n, _ in CRITERIA])
+@pytest.mark.parametrize("name,fn", criteria(), ids=[n for n, _ in criteria()])
 def test_criterion(name, fn, capsys):
-    start = time.perf_counter()
-    if fn is criterion_surface_suite:
-        passed, witness = fn(seed=0)
-    else:
-        passed, witness = fn()
-    elapsed = time.perf_counter() - start
+    result = run_check(name, fn)
     with capsys.disabled():
-        status = "PASS" if passed else "FAIL"
-        print(f"[{status}] {name} ({elapsed:.2f}s)")
-    assert passed, witness
+        status = "PASS" if result.passed else "FAIL"
+        print(f"[{status}] {name} ({result.seconds:.2f}s)")
+    assert result.passed, result.witness
 
 
 def test_runtime_budgets():

@@ -5,9 +5,10 @@ import pytest
 
 from cuspidal.bidouble import (
     BASE_VARS, CoverData, Cyclo3, StructureError, delta_c, delta_normal_form,
-    different, discriminant_norm, find_cusps, mat_mul, mat_scale_identity,
-    mat_sub, multiplication_matrices, scaling_identity_residual,
+    different, discriminant_norm, find_cusps, mat_scale_identity, mat_sub,
+    multiplication_matrices, scaling_identity_residual,
 )
+from cuspidal.linalg import mat_mul
 from cuspidal.mpoly import MPoly, ring
 
 

@@ -3,6 +3,8 @@ import pathlib
 
 import pytest
 
+from cuspidal import surface
+from cuspidal.bidouble import StructureError
 from cuspidal.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "v1"
@@ -73,6 +75,14 @@ def test_enumerate_homs(capsys):
     data = json.loads(out)
     assert data["results"]["class_count"] == 1
     assert data["results"]["satisfying_tuples"] == 24
+    # into S3: four classes of trivial centralizer, 4 * 3! = 24 tuples
+    code, out = run_cli(capsys, "enumerate-homs", "--target", "s3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["inputs"] == {"target": "s3"}
+    assert data["results"]["class_count"] == 4
+    assert data["checks"] == [{"name": "orbit_count", "pass": True, "witness": {
+        "satisfying_tuples": 24, "orbit_sizes_sum": 24}}]
 
 
 def test_coset_order_affine_overflow(capsys):
@@ -136,3 +146,46 @@ def test_monodromy_rejects_a_non_finite_basepoint(value):
     with pytest.raises(SystemExit) as err:
         main(["monodromy", f"--basepoint={value}"])
     assert err.value.code == 2
+
+
+def test_surface_checks_pass_for_a_sample_with_a_double_pinch_point(capsys):
+    # seed 107 draws an F whose Delta(F) has a double root; the dual conic
+    # is then tangent to the Veronese conic, so the pinch-point iff holds
+    code, out = run_cli(capsys, "surface-checks", "--seed", "107")
+    assert code == 0
+    assert all(c["pass"] for c in json.loads(out)["checks"])
+
+
+def test_a_raising_surface_step_is_a_failed_check(capsys, monkeypatch):
+    def broken():
+        raise StructureError("P is not the tangent surface of the cubic")
+
+    monkeypatch.setattr(surface, "tangent_surface_identity", broken)
+    witness = {"exception": "StructureError",
+               "message": "P is not the tangent surface of the cubic"}
+    code, out = run_cli(capsys, "reproduce-all")
+    assert code == 1
+    data = json.loads(out)
+    assert data["results"] == {"criteria": 11, "passed": 10}
+    [suite] = [c for c in data["checks"] if not c["pass"]]
+    assert suite["name"] == "surface_suite"
+    assert suite["witness"]["steps"]["tangent_surface"] == witness
+    code, out = run_cli(capsys, "surface-checks")
+    assert code == 1
+    [step] = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert step == {"name": "tangent_surface", "pass": False, "witness": witness}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-infj", "x"])
+def test_fiber_rejects_a_non_finite_x(value):
+    with pytest.raises(SystemExit) as err:
+        main(["fiber", f"--x={value}"])
+    assert err.value.code == 2
+
+
+def test_fiber_overflow_is_a_structured_fail(capsys):
+    code, out = run_cli(capsys, "fiber", "--x=1e200")
+    assert code == 1
+    [check] = json.loads(out)["checks"]
+    assert check["name"] == "root_count" and not check["pass"]
+    assert check["witness"]["exception"] == "OverflowError"

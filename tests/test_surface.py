@@ -7,8 +7,9 @@ from cuspidal.bidouble import StructureError
 from cuspidal.linalg import rank
 from cuspidal.mpoly import MPoly, ring
 from cuspidal.surface import (
-    ConicForm, QuadricForm, cone_vertex_check, conormal_sections,
-    conormal_zero_property, developable_map_checks, dual_conic_of_gamma_tilde,
+    VERONESE, ConicForm, QuadricForm, adjugate, cone_vertex_check,
+    conormal_sections, conormal_zero_property, developable_map_checks,
+    dual_conic_of_gamma_tilde, dual_meets_veronese_transversally,
     express_p_in_quadrics, gamma_tilde, gamma_tilde_is_the_vertex_map,
     gauss_rank_at, gradient_vanishing_on_cuspidal_curve, net_determinant_conic,
     p_in_x_coordinates, pinch_discriminant, pinch_roots_are_simple,
@@ -105,6 +106,19 @@ def test_random_surfaces_have_four_simple_pinch_points():
         if pinch_roots_are_simple(f):
             hits += 1
     assert hits == 5
+
+
+def test_double_pinch_points_iff_the_dual_conic_is_tangent():
+    # H = V + c l2^2 touches the Veronese conic V at (1, 0, 0) to order 4;
+    # F = adj(H) has dual conic H, so Delta(F) has a multiple root
+    for c in (1, -3, Fraction(2, 5)):
+        h = tuple(tuple(VERONESE[i][j] + (c if i == j == 2 else 0) for j in range(3))
+                  for i in range(3))
+        f = adjugate(h)
+        assert not pinch_roots_are_simple(f)
+        assert not dual_meets_veronese_transversally(f)
+    f = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert pinch_roots_are_simple(f) and dual_meets_veronese_transversally(f)
 
 
 def test_conormal_zero_property():

@@ -1,0 +1,39 @@
+"""Every top-level function and class in src/cuspidal, and every method of
+those classes, is used somewhere.
+
+A definition counts as used when its name occurs as a name, an attribute
+or an imported name anywhere in src/ or tests/; dunder methods are exempt.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _definitions(tree, module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, ast.FunctionDef)
+                        and not member.name.startswith("__")):
+                    yield f"{module}.{node.name}.{member.name}", member.name
+
+
+def test_no_unreferenced_definitions():
+    used = set()
+    defined = []
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+        if path.is_relative_to(ROOT / "src" / "cuspidal"):
+            defined.extend(_definitions(tree, path.stem))
+    assert [where for where, name in defined if name not in used] == []
