@@ -54,14 +54,10 @@ def _compose_linear(pairs, za, zb):
     return u, w
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
 def _edge_crossings(u, w):
     """Signed crossings of the negative real axis for t in the open (0, 1)."""
     if xp.is_zero(w):
-        if xp.count_roots(u, Fraction(-1, 100), Fraction(101, 100)) > 0 or xp.evaluate(u, Fraction(0)) <= 0:
+        if xp.count_roots(u, Fraction(-1, 100), Fraction(101, 100)) > 0 or xp.sign_at(u, 0) <= 0:
             raise DegenerateContourError("edge runs along the real axis near 0")
         return 0
     g = xp.gcd(u, w) if not xp.is_zero(u) else list(w)
@@ -72,27 +68,27 @@ def _edge_crossings(u, w):
     wsf = xp.squarefree_part(w)
     total = 0
     for lo, hi in xp.isolate_roots(w, Fraction(0), Fraction(1)):
-        if hi == 1 and xp.evaluate(w, Fraction(1)) == 0:
+        if hi == 1 and xp.sign_at(w, 1) == 0:
             continue  # corner root; corner precondition forces u(1) > 0 there
         # shrink until u is sign-definite on [lo, hi]
-        while xp.evaluate(u, lo) == 0 or xp.count_roots(u, lo, hi) > 0:
+        while xp.sign_at(u, lo) == 0 or xp.count_roots(u, lo, hi) > 0:
             lo, hi = xp.refine_root(w, lo, hi, (hi - lo) / 4)
-        u_sign = _sign(xp.evaluate(u, lo))
-        s_lo = _sign(xp.evaluate(w, lo))
+        u_sign = xp.sign_at(u, lo)
+        s_lo = xp.sign_at(w, lo)
         if s_lo == 0:
             lo2, hi = xp.refine_root(w, lo, hi, (hi - lo) / 4)
             if lo2 == lo:
                 raise DegenerateContourError("could not separate crossing")
             lo = lo2
-            s_lo = _sign(xp.evaluate(w, lo))
-        s_hi = _sign(xp.evaluate(w, hi))
+            s_lo = xp.sign_at(w, lo)
+        s_hi = xp.sign_at(w, hi)
         if s_hi == 0:
             step = hi - lo
             probe = hi + step
             while xp.count_roots(wsf, hi, probe) > 0:
                 step /= 2
                 probe = hi + step
-            s_hi = _sign(xp.evaluate(w, probe))
+            s_hi = xp.sign_at(w, probe)
         if s_lo == s_hi or u_sign == 0:
             continue  # even-order touch, no branch crossing
         if u_sign < 0:

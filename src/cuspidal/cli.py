@@ -140,8 +140,9 @@ def cmd_fiber(args):
     check_list = []
     if args.x.imag == 0:
         vals = [r.value for r in roots for _ in range(r.multiplicity)]
-        conj = all(min(abs(v.conjugate() - w) for w in vals) < 1e-9 for v in vals)
-        neg = all(min(abs(-v - w) for w in vals) < 1e-9 for v in vals)
+        tol = 1e-9 * max(1.0, max(abs(v) for v in vals))  # relative to the root size
+        conj = all(min(abs(v.conjugate() - w) for w in vals) < tol for v in vals)
+        neg = all(min(abs(-v - w) for w in vals) < tol for v in vals)
         check_list.append(("fiber_symmetry", conj and neg,
                            {"conjugation": conj, "negation": neg}))
         try:

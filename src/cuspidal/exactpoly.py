@@ -1,12 +1,17 @@
 """Exact univariate polynomials over Q: Euclid, Sturm chains, root isolation.
 
+Signs, Sturm chains and bisection run on integer polynomials (see the
+integer-sign section below); the isolating intervals are the Sturm ones.
+
 A polynomial is a list of Fractions, ascending degree, normalized so the
 last entry is nonzero (the zero polynomial is the empty list).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 
 def trim(p):
@@ -84,13 +89,6 @@ def derivative(p):
     return trim([c * i for i, c in enumerate(p)][1:])
 
 
-def evaluate(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def monic(p):
     if not p:
         return p
@@ -149,68 +147,120 @@ def cauchy_bound(p):
 def rational_roots(p):
     """All rational roots of a squarefree p (denominators up to 10^6),
     found by Sturm isolation plus bounded-denominator reconstruction.
+    A candidate counts only inside its own isolating interval.
     Returns (roots, cofactor with those roots divided out)."""
     p = trim(p)
     found = []
     if degree(p) < 1:
         return found, p
     if degree(p) == 1:
-        return [-p[0] / p[1]], [Fraction(1)]
+        return [-p[0] / p[1]], [p[1]]
     b = cauchy_bound(p) + 1
     for lo, hi in isolate_roots(p, -b, b):
         lo2, hi2 = refine_root(p, lo, hi, Fraction(1, 10 ** 8))
         mid = (lo2 + hi2) / 2
         for max_den in (8, 64, 4096, 10 ** 6):
             cand = mid.limit_denominator(max_den)
-            if evaluate(p, cand) == 0:
+            if lo < cand <= hi and sign_at(p, cand) == 0:
                 found.append(cand)
-                p, r = divmod_exact(p, [-cand, Fraction(1)])
-                assert not r
                 break
+    for root in found:
+        p, r = divmod_exact(p, [-root, Fraction(1)])
+        assert not r
     return found, p
 
 
-def sturm_chain(p):
-    chain = [trim(p), derivative(p)]
-    while chain[-1]:
-        _, r = divmod_exact(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(neg(r))
-    return [c for c in chain if c]
+# -- integer signs ---------------------------------------------------------------
+#
+# Sign questions are answered on integer polynomials: p scaled by a positive
+# integer, so every sign is p's own, and evaluated at n/d homogeneously.
+
+def _integer_form(p):
+    """p times the positive rational that makes it a primitive integer tuple."""
+    if not p:
+        return ()
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def _sign_int(q, x):
+    """Sign of the integer polynomial q at the rational x = n/d (d > 0), from
+    the sign of sum q_i n^i d^(deg - i), by homogeneous Horner on ints."""
+    n, d = x.numerator, x.denominator
+    acc, dk = 0, 1
+    for c in reversed(q):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
+
+
+def sign_at(p, x):
+    """Sign (-1, 0 or 1) of the rational polynomial p at the rational x."""
+    return _sign_int(_integer_form(trim(p)), Fraction(x))
+
+
+def _neg_prem(a, b):
+    """-(c a mod b) for a positive integer c, primitive: the next Sturm term."""
+    r = list(a)
+    lc = b[-1]
+    s, sg = abs(lc), (1 if lc > 0 else -1)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        t = sg * r[-1]
+        r = [s * c for c in r]
+        for i, c in enumerate(b):
+            r[k + i] -= t * c
+        while r and r[-1] == 0:
+            r.pop()
+    g = math.gcd(*r)
+    return tuple(-c // g for c in r)
+
+
+@lru_cache(maxsize=256)
+def _sturm(q):
+    """Integer Sturm chain of the squarefree part of the integer polynomial q,
+    that part first."""
+    chain = [_integer_form(squarefree_part([Fraction(c) for c in q]))]
+    if len(chain[0]) > 1:
+        chain.append(tuple(i * c for i, c in enumerate(chain[0]))[1:])
+    while len(chain[-1]) > 1:
+        chain.append(_neg_prem(chain[-2], chain[-1]))
+    return tuple(chain)
+
+
+def _chain(p):
+    return _sturm(_integer_form(trim(p)))
 
 
 def _variations(chain, x):
-    signs = []
-    for p in chain:
-        v = evaluate(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    count = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            count += 1
+    count, prev = 0, 0
+    for q in chain:
+        s = _sign_int(q, x)
+        if s:
+            if prev and s != prev:
+                count += 1
+            prev = s
     return count
 
 
 def count_roots(p, a, b):
     """Number of distinct real roots in (a, b] (Sturm; p need not be squarefree)."""
-    sf = squarefree_part(p)
-    if degree(sf) < 1:
-        return 0
-    chain = sturm_chain(sf)
-    a, b = Fraction(a), Fraction(b)
-    return _variations(chain, a) - _variations(chain, b)
+    chain = _chain(p)
+    return _variations(chain, Fraction(a)) - _variations(chain, Fraction(b))
 
 
 def isolate_roots(p, a, b):
     """Disjoint rational intervals (lo, hi], one per distinct root of p in (a, b]."""
-    sf = squarefree_part(p)
-    a, b = Fraction(a), Fraction(b)
-    chain = sturm_chain(sf)
+    chain = _chain(p)
+    memo = {}
 
     def var(x):
-        return _variations(chain, x)
+        got = memo.get(x)
+        if got is None:
+            got = memo[x] = _variations(chain, x)
+        return got
 
     out = []
 
@@ -225,20 +275,27 @@ def isolate_roots(p, a, b):
         split(lo, mid, nl)
         split(mid, hi, n - nl)
 
+    a, b = Fraction(a), Fraction(b)
     split(a, b, var(a) - var(b))
     out.sort()
     return out
 
 
 def refine_root(p, lo, hi, bound):
-    """Shrink an interval isolating one root of p in (lo, hi] until hi - lo <= bound."""
-    sf = squarefree_part(p)
-    chain = sturm_chain(sf)
+    """Shrink an interval isolating one root of p in (lo, hi] until hi - lo <= bound.
+
+    Bisection by the sign of the squarefree part q alone: the root is <= mid
+    exactly when q(mid) = 0 or q(mid) has the sign of q(hi), which is the
+    Sturm count's decision, so the intervals are the Sturm ones."""
+    chain = _chain(p)
     lo, hi, bound = Fraction(lo), Fraction(hi), Fraction(bound)
+    q = chain[0]
+    s_hi = _sign_int(q, hi)
     while hi - lo > bound:
         mid = (lo + hi) / 2
-        if _variations(chain, lo) - _variations(chain, mid) == 1:
-            hi = mid
+        s = _sign_int(q, mid)
+        if s == 0 or s == s_hi:
+            hi, s_hi = mid, s
         else:
             lo = mid
     return lo, hi

@@ -400,8 +400,34 @@ def align(*polys):
     return tuple(p.extended(variables) for p in polys)
 
 
+def _divide_exact(a, b):
+    """a / b when b divides a, by division by grevlex leading terms.
+
+    Raises ArithmeticError if a remainder is left."""
+    lead, lc = b.leading_term()
+    rest = [(e, c) for e, c in b.terms.items() if e != lead]
+    r = dict(a.terms)
+    q = {}
+    while r:
+        top = max(r, key=_grevlex_key)
+        shift = tuple(x - y for x, y in zip(top, lead))
+        if any(s < 0 for s in shift):
+            raise ArithmeticError(f"{b} does not divide {a}")
+        c = r.pop(top) / lc
+        q[shift] = c
+        for e, ce in rest:
+            t = tuple(x + y for x, y in zip(shift, e))
+            v = r.get(t, 0) - c * ce
+            if v:
+                r[t] = v
+            else:
+                r.pop(t, None)
+    return MPoly(a.variables, q)
+
+
 def determinant(rows):
-    """Exact determinant of a square MPoly matrix (minor expansion with memo)."""
+    """Exact determinant of a square MPoly matrix (fraction-free Bareiss
+    elimination; a zero pivot is replaced by a row swap)."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
@@ -413,27 +439,23 @@ def determinant(rows):
             if entry.variables != variables:
                 raise VariableMismatchError("matrix entries in different rings")
 
-    memo = {}
-
-    def minor(row, cols):
-        if not cols:
-            return MPoly.constant(1, variables)
-        key = (row, cols)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = MPoly.zero(variables)
-        sign = 1
-        for k, c in enumerate(cols):
-            entry = rows[row][c]
-            if not entry.is_zero():
-                sub = minor(row + 1, cols[:k] + cols[k + 1:])
-                acc = acc + entry * sub * sign
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    return minor(0, tuple(range(n)))
+    m = [list(r) for r in rows]
+    negate = False
+    prev = None  # the previous pivot, which divides every update exactly
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if swap is None:
+                return MPoly.zero(variables)
+            m[k], m[swap] = m[swap], m[k]
+            negate = not negate
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                entry = m[i][j] * pivot - m[i][k] * m[k][j]
+                m[i][j] = entry if prev is None else _divide_exact(entry, prev)
+        prev = pivot
+    return -m[n - 1][n - 1] if negate else m[n - 1][n - 1]
 
 
 def resultant(p, q, name):

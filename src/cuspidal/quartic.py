@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactpoly as xp
-from .mpoly import MPoly, resultant, ring
+from .mpoly import MPoly, determinant, resultant, ring
 from .roots import ApproxRoot, eval_poly_deriv, roots_univariate
 
 PLANE_VARS = ("x", "y", "z")
@@ -205,7 +205,9 @@ def fiber_coeffs(curve, x0):
 
 
 def fiber_solve(curve, x0, mode="cluster"):
-    """Fiber roots over x0, via the closed biquadratic form when available."""
+    """Fiber roots over x0, via the closed biquadratic form when available.
+
+    Raises OverflowError when the closed form leaves double precision."""
     try:
         A, B = biquadratic_parts(curve)
     except CurveError:
@@ -222,11 +224,14 @@ def fiber_solve(curve, x0, mode="cluster"):
     for zsq in ((-a + sq) / 2, (-a - sq) / 2):
         root = cmath.sqrt(zsq)
         values.extend([root, -root])
+    if not all(cmath.isfinite(v) for v in values):
+        raise OverflowError(f"fiber roots over x = {x0} overflow double precision")
     scale = max(1.0, abs(a), abs(b))
+    size = max(1.0, abs(a) ** 0.5, abs(b) ** 0.25)  # the roots' order of magnitude
     merged = []
     for v in values:
         for m in merged:
-            if abs(v - m[0]) < 1e-9 * scale:
+            if abs(v - m[0]) < 1e-9 * size:
                 m[1] += 1
                 break
         else:
@@ -346,7 +351,6 @@ def critical_values(curve, shear=Fraction(0)):
 def hessian_determinant(curve):
     eq = curve.homogenized().equation
     rows = [[eq.partial(v1).partial(v2) for v2 in PLANE_VARS] for v1 in PLANE_VARS]
-    from .mpoly import determinant
     return determinant(rows)
 
 

@@ -189,3 +189,27 @@ def test_fiber_overflow_is_a_structured_fail(capsys):
     [check] = json.loads(out)["checks"]
     assert check["name"] == "root_count" and not check["pass"]
     assert check["witness"]["exception"] == "OverflowError"
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_fiber_with_non_finite_roots_is_a_structured_fail(capsys):
+    # x is finite, but A(x)^2 overflows inside the closed biquadratic form
+    code, out = run_cli(capsys, "fiber", "--x=1e77j")
+    assert code == 1
+    [check] = _strict_json(out)["checks"]
+    assert check["name"] == "root_count" and not check["pass"]
+    assert check["witness"]["exception"] == "OverflowError"
+
+
+@pytest.mark.parametrize("x", ["600", "-1000", "1e4"])
+def test_fiber_far_from_the_cusps_has_four_simple_symmetric_roots(capsys, x):
+    code, out = run_cli(capsys, "fiber", f"--x={x}")
+    assert code == 0
+    data = _strict_json(out)
+    assert [r["multiplicity"] for r in data["results"]["roots"]] == [1, 1, 1, 1]
+    assert all(c["pass"] for c in data["checks"])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspidal.mpoly import (
     MPoly, VariableMismatchError, align, determinant, homogeneous_sqrt,
@@ -105,6 +107,53 @@ def test_determinant_matches_permutation_formula():
                 - m[0][1] * det2(m[1][0], m[1][2], m[2][0], m[2][2])
                 + m[0][2] * det2(m[1][0], m[1][1], m[2][0], m[2][1]))
     assert determinant(m) == expected
+
+
+def _laplace(m):
+    """Cofactor expansion along the first row: the determinant oracle."""
+    if len(m) == 1:
+        return m[0][0]
+    acc = MPoly.zero(m[0][0].variables)
+    for k, entry in enumerate(m[0]):
+        if not entry.is_zero():
+            minor = [row[:k] + row[k + 1:] for row in m[1:]]
+            acc = acc + entry * _laplace(minor) * (-1) ** k
+    return acc
+
+
+ENTRIES = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+    st.fractions(-4, 4, max_denominator=3), max_size=3,
+).map(lambda terms: MPoly(("x", "y", "z"), terms))
+
+
+@st.composite
+def matrices(draw):
+    """Square matrices with many zero entries (zero pivots) and, sometimes,
+    a row that is a combination of two others (singular)."""
+    n = draw(st.integers(1, 5))
+    zero = MPoly.zero(("x", "y", "z"))
+    m = [[draw(st.one_of(st.just(zero), ENTRIES)) for _ in range(n)] for _ in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        c = draw(ENTRIES)
+        m[k] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_determinant_matches_laplace_expansion(m):
+    assert determinant(m) == _laplace(m)
+
+
+def test_determinant_with_zero_pivots_and_a_zero_column():
+    x, y = ring("x", "y")
+    zero = MPoly.zero(x.variables)
+    swapped = [[zero, x, y], [y, zero, x], [x, y, zero]]  # every pivot needs a swap
+    assert determinant(swapped) == _laplace(swapped) == x ** 3 + y ** 3
+    singular = [[zero, x, y], [zero, y, x], [zero, x + y, x * y]]
+    assert determinant(singular).is_zero()
 
 
 def test_resultant_substitution_cases():
