@@ -9,8 +9,9 @@ homomorphism counts into small symmetric groups).
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import deque
+import math
 from dataclasses import dataclass
 
 from .braids import artin_action, free_reduce, word_inverse
@@ -126,83 +127,117 @@ def abelianization(p):
 
 def _tc_alphabet(p):
     """Relators in the 2g letter alphabet d with inv(d) = d ^ 1."""
-    def enc(g):
-        return 2 * (abs(g) - 1) + (0 if g > 0 else 1)
-
-    rels = [tuple(enc(g) for g in r) for r in p.relators]
-    for d in range(0, 2 * p.n_generators, 2):
-        rels.append((d, d ^ 1))
-        rels.append((d ^ 1, d))
-    return rels
+    return [tuple(2 * (abs(g) - 1) + (g < 0) for g in r) for r in p.relators]
 
 
 def _tc_run(p, max_cosets):
-    """Coset enumeration of the trivial subgroup (HLT with coincidences).
+    """Coset enumeration of the trivial subgroup: HLT with scan-and-fill.
 
-    Returns (labels, neighbors) on success or None on overflow; live cosets
-    are the fixed points of labels.
+    The coset table is one flat list: row c is table[c*w : (c+1)*w] for
+    w = 2g columns, -1 marks an undefined entry, and defining c.d = n also
+    sets n.d^-1 = c.  parent is the union-find of coincidences; live cosets
+    are its fixed points, and live rows point only to live cosets.
+    Returns (table, parent), or None when max_cosets cosets have been
+    defined (dead ones included) and another is needed.
     """
-    ncols = 2 * p.n_generators
+    w = 2 * p.n_generators
     rels = _tc_alphabet(p)
-    labels = [0]
-    neighbors = [[None] * ncols]
+    blank = [-1] * w
+    table = list(blank)
+    parent = [0]
 
     def find(c):
-        while labels[c] != c:
-            labels[c] = labels[labels[c]]
-            c = labels[c]
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
         return c
 
-    def unify(c1, c2):
-        stack = [(c1, c2)]
-        while stack:
-            a, b = stack.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            labels[b] = a
-            for d in range(ncols):
-                nb = neighbors[b][d]
-                if nb is None:
+    def coincidence(a, b):
+        # merge a and b and every pair this forces; a dead coset's edges
+        # move onto its representative, merging wherever one is taken
+        queue = []
+
+        def merge(x, y):
+            x, y = find(x), find(y)
+            if x != y:
+                if x > y:
+                    x, y = y, x
+                parent[y] = x
+                queue.append(y)
+
+        merge(a, b)
+        for dead in queue:
+            row = dead * w
+            for d in range(w):
+                e = table[row + d]
+                if e < 0:
                     continue
-                na = neighbors[a][d]
-                if na is None:
-                    neighbors[a][d] = nb
+                di = d ^ 1
+                table[e * w + di] = -1
+                mu, nu = find(dead), find(e)
+                m = table[mu * w + d]
+                if m >= 0:
+                    merge(nu, m)
+                    continue
+                n = table[nu * w + di]
+                if n >= 0:
+                    merge(mu, n)
                 else:
-                    stack.append((na, nb))
+                    table[mu * w + d] = nu
+                    table[nu * w + di] = mu
 
-    def follow_step(c, d):
-        c = find(c)
-        if neighbors[c][d] is None:
-            if len(neighbors) >= max_cosets:
-                raise _Overflow
-            labels.append(len(neighbors))
-            neighbors.append([None] * ncols)
-            neighbors[c][d] = len(neighbors) - 1
-        return find(neighbors[c][d])
-
-    class _Overflow(Exception):
-        pass
-
-    try:
-        c = 0
-        while c < len(neighbors):
-            if find(c) != c:
-                c += 1
-                continue
-            for rel in rels:
-                if find(c) != c:
-                    break  # c died during processing
-                here = c
-                for d in rel:
-                    here = follow_step(here, d)
-                unify(here, c)
+    c = 0
+    while c < len(parent):
+        if parent[c] != c:
             c += 1
-    except _Overflow:
-        return None
-    return labels, neighbors
+            continue
+        for rel in rels:
+            f, i, b, j = c, 0, c, len(rel) - 1
+            while True:
+                while i <= j:
+                    nxt = table[f * w + rel[i]]
+                    if nxt < 0:
+                        break
+                    f, i = nxt, i + 1
+                if i > j:
+                    if f != b:
+                        coincidence(f, b)
+                    break
+                while j >= i:
+                    nxt = table[b * w + (rel[j] ^ 1)]
+                    if nxt < 0:
+                        break
+                    b, j = nxt, j - 1
+                if j < i:
+                    if f != b:
+                        coincidence(f, b)
+                    break
+                d = rel[i]
+                if i == j:  # a deduction closes the gap
+                    table[f * w + d] = b
+                    table[b * w + (d ^ 1)] = f
+                    break
+                n = len(parent)
+                if n >= max_cosets:
+                    return None
+                parent.append(n)
+                table += blank
+                table[f * w + d] = n
+                table[n * w + (d ^ 1)] = f
+            if parent[c] != c:
+                break
+        else:
+            row = c * w
+            for d in range(w):
+                if table[row + d] < 0:
+                    n = len(parent)
+                    if n >= max_cosets:
+                        return None
+                    parent.append(n)
+                    table += blank
+                    table[row + d] = n
+                    table[n * w + (d ^ 1)] = c
+        c += 1
+    return table, parent
 
 
 def todd_coxeter(p, max_cosets=100000):
@@ -212,8 +247,8 @@ def todd_coxeter(p, max_cosets=100000):
     result = _tc_run(p, max_cosets)
     if result is None:
         return OVERFLOW
-    labels, _ = result
-    return sum(1 for c, l in enumerate(labels) if c == l)
+    _, parent = result
+    return sum(1 for c, r in enumerate(parent) if c == r)
 
 
 def coset_action(p, max_cosets=100000):
@@ -226,24 +261,18 @@ def coset_action(p, max_cosets=100000):
     result = _tc_run(p, max_cosets)
     if result is None:
         raise RuntimeError(f"coset enumeration overflowed at {max_cosets}")
-    labels, neighbors = result
-
-    def find(c):
-        while labels[c] != c:
-            c = labels[c]
-        return c
-
-    live = sorted(c for c, l in enumerate(labels) if c == l)
+    table, parent = result
+    w = 2 * p.n_generators
+    live = [c for c, r in enumerate(parent) if c == r]
     index = {c: i for i, c in enumerate(live)}
     perms = []
-    for g in range(p.n_generators):
-        col = 2 * g
+    for col in range(0, w, 2):
         perm = []
         for c in live:
-            target = neighbors[c][col]
+            target = index.get(table[c * w + col])
             if target is None:
                 raise RuntimeError("incomplete coset table")
-            perm.append(index[find(target)])
+            perm.append(target)
         perms.append(tuple(perm))
     for r in p.relators:
         for start in range(len(live)):
@@ -274,11 +303,16 @@ def _perm_inv(p):
     return tuple(out)
 
 
-def _word_satisfied(word, images, ident):
-    acc = ident
-    for g in word:
-        acc = _perm_mul(acc, images[abs(g) - 1] if g > 0 else _perm_inv(images[abs(g) - 1]))
-    return acc == ident
+@functools.lru_cache(maxsize=8)
+def _sym_index(n):
+    """S_n in itertools order, so index 0 is the identity, with its
+    multiplication table (mul[i][j] indexes _perm_mul(perms[i], perms[j]))
+    and inverse table."""
+    perms = tuple(itertools.permutations(range(n)))
+    index = {s: i for i, s in enumerate(perms)}
+    mul = tuple(tuple(index[_perm_mul(s, t)] for t in perms) for s in perms)
+    inv = tuple(index[_perm_inv(s)] for s in perms)
+    return perms, index, mul, inv
 
 
 def _transitive(images, n):
@@ -287,7 +321,7 @@ def _transitive(images, n):
     while frontier:
         x = frontier.pop()
         for p in images:
-            for y in (p[x], _perm_inv(p)[x]):
+            for y in (p[x], p.index(x)):
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
@@ -296,28 +330,42 @@ def _transitive(images, n):
 
 def count_homs(p, n):
     """Number of homomorphisms into S_n (backtracking with relator pruning)."""
-    pool = list(itertools.permutations(range(n)))
-    return sum(1 for _ in _search_homs(p, n, [pool] * p.n_generators, transitive=False))
+    if n > 6:
+        raise ValueError("brute force is meant for n <= 6")
+    return sum(1 for _ in _search_homs(p, n, range(math.factorial(n))))
 
 
-def _search_homs(p, n, pools, transitive):
-    ident = tuple(range(n))
-    by_support = [[] for _ in range(p.n_generators + 1)]
+def _search_homs(p, n, pool):
+    """Homomorphisms into S_n with every image in pool (S_n indices), as
+    index tuples in pool order; a relator is checked once its highest
+    generator has an image."""
+    _, _, mul, inv = _sym_index(n)
+    g = p.n_generators
+    by_support = [[] for _ in range(g + 1)]
     for r in p.relators:
-        by_support[max(abs(g) for g in r)].append(r)
+        # letter 2k reads the image of generator k + 1, letter 2k + 1 its inverse
+        by_support[max(abs(x) for x in r)].append(
+            tuple(2 * (abs(x) - 1) + (x < 0) for x in r))
+    values = [0] * (2 * g)
 
-    def recurse(depth, images):
-        if depth == p.n_generators:
-            if not transitive or _transitive(images, n):
-                yield tuple(images)
+    def recurse(depth):
+        if depth == g:
+            yield tuple(values[0::2])
             return
-        for cand in pools[depth]:
-            images.append(cand)
-            if all(_word_satisfied(r, images, ident) for r in by_support[depth + 1]):
-                yield from recurse(depth + 1, images)
-            images.pop()
+        words = by_support[depth + 1]
+        for cand in pool:
+            values[2 * depth] = cand
+            values[2 * depth + 1] = inv[cand]
+            for word in words:
+                acc = 0
+                for letter in word:
+                    acc = mul[acc][values[letter]]
+                if acc:
+                    break
+            else:
+                yield from recurse(depth + 1)
 
-    yield from recurse(0, [])
+    yield from recurse(0)
 
 
 def conjugates(images, n):
@@ -336,12 +384,17 @@ def enumerate_homs_to_sym(p, n):
     """
     if n > 6:
         raise ValueError("brute force is meant for n <= 6")
+    perms, index, _, _ = _sym_index(n)
     pool = []
     for a, b in itertools.combinations(range(n), 2):
         q = list(range(n))
         q[a], q[b] = q[b], q[a]
-        pool.append(tuple(q))
-    found = list(_search_homs(p, n, [pool] * p.n_generators, transitive=True))
+        pool.append(index[tuple(q)])
+    found = []
+    for hom in _search_homs(p, n, pool):
+        images = tuple(perms[i] for i in hom)
+        if _transitive(images, n):
+            found.append(images)
     classes = {}
     for images in found:
         classes.setdefault(min(conjugates(images, n)), images)

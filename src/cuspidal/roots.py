@@ -85,9 +85,11 @@ def _aberth(coeffs, tol=1e-13, max_iter=200):
             worst = max(worst, abs(step) / (1.0 + abs(z[i])))
         if worst < tol:
             return z
-    # near multiple roots the simultaneous iteration stalls at cluster size;
-    # accept if residuals are tiny, otherwise report failure loudly
-    if all(abs(eval_poly(coeffs, zi)) < 1e-8 * scale for zi in z):
+    # near multiple roots the simultaneous iteration stalls at cluster size,
+    # and on large degrees it stalls at the rounding floor; accept if every
+    # residual is tiny or within the evaluation error, otherwise fail loudly
+    if all(abs(eval_poly(coeffs, zi)) <= max(1e-8 * scale, _eval_error_bound(coeffs, zi))
+           for zi in z):
         return z
     raise RootFindingError(f"Aberth iteration did not converge in {max_iter} steps")
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspidal.braids import (
     ArcSpec, BraidWord, artin_action, braid_equal, free_reduce,
@@ -11,6 +13,7 @@ from cuspidal.groups import (
     coset_action, count_homs, enumerate_homs_to_sym, fingerprint, perm_word,
     same_relator, tietze_simplify, todd_coxeter, van_kampen,
 )
+from cuspidal.groups import _tc_run, _transitive
 
 GEN_NAMES = ("a1", "a2", "b2", "b1")
 
@@ -94,6 +97,80 @@ def test_todd_coxeter_affine_overflows():
     assert todd_coxeter(affine_presentation(), max_cosets=2000) == OVERFLOW
 
 
+# (presentation, group order); the relators are rewritten by relabeled()
+KNOWN_ORDERS = {
+    **{f"C{n}": (Presentation(("x",), ((1,) * n,)), n) for n in (1, 2, 5, 12)},
+    **{f"D{n}": (Presentation(("r", "s"), ((1,) * n, (2, 2), (2, 1, 2, 1))), 2 * n)
+       for n in (2, 3, 6, 9)},
+    "S4 Coxeter": (Presentation(("a", "b", "c"), (
+        (1, 1), (2, 2), (3, 3), (1, 2) * 3, (2, 3) * 3, (1, 3) * 2)), 24),
+    "Q8": (Presentation(("a", "b"), ((1, 1, 1, 1), (1, 1, -2, -2), (-2, 1, 2, 1))), 8),
+    "(2,3,7;4)": (Presentation(("a", "b"), (
+        (1, 1), (2, 2, 2), (1, 2) * 7, (1, 2, -1, -2) * 4)), 168),
+    "projective": (add_projective_relation(affine_presentation()), 12),
+}
+
+
+@st.composite
+def relabeled(draw, p):
+    """The same group: each relator rotated and perhaps inverted, then the
+    relators reordered."""
+    relators = []
+    for r in p.relators:
+        k = draw(st.integers(0, len(r) - 1))
+        r = r[k:] + r[:k]
+        if draw(st.booleans()):
+            r = tuple(-g for g in reversed(r))
+        relators.append(r)
+    order = draw(st.permutations(range(len(relators))))
+    return Presentation(p.generator_names, tuple(relators[i] for i in order))
+
+
+@st.composite
+def known_groups(draw):
+    p, order = KNOWN_ORDERS[draw(st.sampled_from(sorted(KNOWN_ORDERS)))]
+    return draw(relabeled(p)), order
+
+
+@settings(max_examples=150, deadline=None)
+@given(known_groups())
+def test_todd_coxeter_known_orders_under_relabeling(case):
+    p, order = case
+    assert todd_coxeter(p) == order
+    got, perms = coset_action(p)
+    assert got == order
+    for perm in perms:
+        assert sorted(perm) == list(range(order))
+    for r in p.relators:
+        for pt in range(order):
+            assert perm_word(r, perms, pt) == pt
+    assert _transitive(perms, order)  # the regular action
+
+
+@settings(max_examples=400, deadline=None)
+@given(relabeled(KNOWN_ORDERS["projective"][0]))
+def test_projective_relabelings_close_within_2000_cosets(p):
+    assert todd_coxeter(p, max_cosets=2000) == 12
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_ORDERS))
+def test_todd_coxeter_overflows_at_exactly_max_cosets(name):
+    p, order = KNOWN_ORDERS[name]
+    _, parent = _tc_run(p, 10 ** 5)
+    defined = len(parent)  # every coset the enumeration defined, dead ones too
+    assert defined >= order
+    assert todd_coxeter(p, max_cosets=defined) == order
+    if defined > 1:
+        assert todd_coxeter(p, max_cosets=defined - 1) == OVERFLOW
+
+
+def test_todd_coxeter_defines_no_throwaway_cosets_on_a_cyclic_group():
+    # inverse edges are set on definition, so x^5 closes on exactly 5 cosets
+    c5 = Presentation(("x",), ((1, 1, 1, 1, 1),))
+    assert todd_coxeter(c5, max_cosets=5) == 5
+    assert todd_coxeter(c5, max_cosets=4) == OVERFLOW
+
+
 def test_coset_action_is_closed():
     proj = add_projective_relation(affine_presentation())
     order, perms = coset_action(proj)
@@ -138,6 +215,14 @@ def test_s4_uniqueness():
     assert any(
         tuple(_perm_mul(_perm_mul(_perm_inv(s), g), s) for g in rep) == mu
         for s in itertools.permutations(range(4)))
+
+
+def test_hom_searches_reject_large_symmetric_groups():
+    # both index S_n with an n! x n! table
+    p = Presentation(("x",), ())
+    for search in (count_homs, enumerate_homs_to_sym):
+        with pytest.raises(ValueError):
+            search(p, 7)
 
 
 def test_free_two_generators_onto_s2():

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from cuspidal import exactpoly as xp
 from cuspidal.mpoly import MPoly, ring
 from cuspidal.quartic import (
-    CurveError, FiberPattern, ParamCurve, biquadratic_parts, classify_real_fiber,
-    critical_values, cuspidal_quartic, discriminant_poly, dual_of_dual,
-    dual_parametrization, fiber_solve, flexes_and_cusps, gradient, implicitize,
-    nodal_cubic, nodal_cubic_param, sheared_curve, theta,
+    CurveError, FiberPattern, ParamCurve, PlaneCurve, biquadratic_parts,
+    classify_real_fiber, critical_values, cuspidal_quartic, discriminant_poly,
+    dual_of_dual, dual_parametrization, fiber_solve, flexes_and_cusps, gradient,
+    implicitize, nodal_cubic, nodal_cubic_param, sheared_curve, theta,
 )
 
 
@@ -176,6 +177,27 @@ def test_critical_values_sheared():
     assert abs(reals[3]) < 1e-9
     near_cusp_pair = [v for v, _ in vals if abs(complex(v).real + 9 / 8) < 0.05]
     assert len(near_cusp_pair) == 2
+
+
+def test_critical_values_of_a_quintic_at_the_rounding_floor():
+    # Disc_y is squarefree of degree 20; Aberth's relative steps stall near
+    # 1e-12 there while every residual already sits at the Horner error bound
+    terms = {(0, 0): 1, (0, 1): 1, (0, 3): 1, (0, 4): -1, (0, 5): 1, (1, 0): 1,
+             (1, 1): 2, (1, 2): 1, (1, 3): 2, (1, 4): 2, (2, 0): -1, (2, 1): -2,
+             (2, 2): -2, (2, 3): -2, (3, 0): -2, (3, 1): -2, (3, 2): 1,
+             (4, 0): 2, (4, 1): 2}
+    curve = PlaneCurve(MPoly(("x", "y"), {k: Fraction(c) for k, c in terms.items()}))
+    vals = critical_values(curve)
+    disc = discriminant_poly(curve).univariate_coeffs("x")
+    assert [m for _, m in vals] == [1] * xp.degree(disc)
+    real = [v.real for v, _ in vals if v.imag == 0]
+    bound = xp.cauchy_bound(disc)
+    assert len(real) == xp.count_roots(disc, -bound, bound)
+    for v in real:  # an exact sign change of Disc_y brackets each real value
+        h = Fraction(1e-9) * max(1, abs(Fraction(v)))
+        assert xp.sign_at(disc, Fraction(v) - h) * xp.sign_at(disc, Fraction(v) + h) < 0
+    for v, _ in vals:
+        assert min(abs(v.conjugate() - w) for w, _ in vals) < 1e-9 * max(1.0, abs(v))
 
 
 def test_sheared_curve_is_exact_substitution():
