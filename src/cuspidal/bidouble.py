@@ -3,7 +3,7 @@
 The cover is the rank-4 extension generated by z, w with z^2 = v + a w and
 w^2 = u + b z over the base ring Q[u, v, a, b]; elements are written on the
 module basis (1, z, w, zw).  The discriminant comes out as the norm of the
-different R = 4zw - ab, and its normal forms delta_c and delta with the
+different R = 4zw - ab, and its normal form delta with the
 three cusps at (3/4 zeta^2, 3/4 zeta) are verified exactly in Q(zeta).
 """
 
@@ -201,14 +201,14 @@ def different(cover=None):
     return determinant([[2 * z, -av], [-bv, 2 * w]])
 
 
-def discriminant_norm(cover=None):
+def discriminant_norm():
     """Discriminant Delta = 4^4 det(M_zw - ab/4 I) and its normal form P.
 
     P(u, v, alpha, beta) = -Delta/16^2 rewritten through alpha = a^2 and
     beta = b^2; a structure error is raised if Delta ever saw an odd power
     of a or b, which would contradict the norm computation.
     """
-    cover = cover or CoverData.generic()
+    cover = CoverData.generic()
     tables = multiplication_matrices(cover)
     vars_ = cover.u.variables
     shift = cover.a * cover.b * Fraction(1, 4)
@@ -233,20 +233,6 @@ def _reexpress_even(poly, vars_):
 
 
 # -- normal forms of the discriminant curve ----------------------------------
-
-def delta_c(c=None):
-    """One-parameter normal form delta_c(U, V) with a = 1, b = c.
-
-    delta_c = -U^2 V^2 - 9/8 U V c^2 + c^2 V^3 + U^3 + 27/256 c^4.
-    """
-    if c is None:
-        u, v, c = ring("u", "v", "c")
-    else:
-        u, v = ring("u", "v")
-        c = Fraction(c)
-    return (-(u ** 2) * v ** 2 - Fraction(9, 8) * u * v * c ** 2
-            + c ** 2 * v ** 3 + u ** 3 + Fraction(27, 256) * c ** 4)
-
 
 def delta_normal_form():
     """delta(u, v) = P(u, v, 1, 1)."""
@@ -277,14 +263,14 @@ class CuspPoint:
         return self.u.as_complex(), self.v.as_complex()
 
 
-def find_cusps(delta=None):
+def find_cusps():
     """The three cusps of delta, certified exactly in Q(zeta).
 
     Follows the elimination u (d/du) - v (d/dv) = 3(u^3 - v^3), then
     substitutes u = zeta v and checks the leftover quadratic is exactly
     (v - 3/4 zeta)^2 up to the unit -2 zeta.
     """
-    delta = delta if delta is not None else delta_normal_form()
+    delta = delta_normal_form()
     du = delta.partial("u")
     dv = delta.partial("v")
     u, v = (MPoly.variable(n, delta.variables) for n in ("u", "v"))

@@ -29,6 +29,17 @@ def word_inverse(letters):
     return tuple(-g for g in reversed(letters))
 
 
+def cyclic_reduce(letters):
+    """(core, prefix) with free_reduce(letters) == prefix + core + prefix^-1
+    and core cyclically reduced (its ends are not mutually inverse)."""
+    w = free_reduce(letters)
+    n = len(w)
+    k = 0
+    while 2 * k + 1 < n and w[k] == -w[n - 1 - k]:
+        k += 1
+    return w[k:n - k], w[:k]
+
+
 @dataclass(frozen=True)
 class BraidWord:
     n_strands: int
@@ -69,8 +80,8 @@ class BraidWord:
         return cls(n, ())
 
     @classmethod
-    def generator(cls, n, i, sign=1):
-        return cls(n, (i if sign > 0 else -i,))
+    def generator(cls, n, i):
+        return cls(n, (i,))
 
 
 def _letter_action(letter, word):
@@ -207,17 +218,6 @@ def halftwist_around_arc(arc, n):
     return BraidWord(n, free_reduce(letters))
 
 
-def cyclic_reduce(braid):
-    """(core, conjugator) with braid == conjugator . core . conjugator^-1."""
-    letters = list(free_reduce(braid.letters))
-    prefix = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        prefix.append(letters.pop(0))
-        letters.pop()
-    return (BraidWord(braid.n_strands, tuple(letters)),
-            BraidWord(braid.n_strands, tuple(prefix)))
-
-
 def _shift_conjugator(n, j):
     """U with sigma_j = U sigma_1 U^-1 (U = V_j V_{j-1} ... V_2, V_k = s_{k-1} s_k)."""
     letters = []
@@ -236,21 +236,12 @@ def conjugate_power_witness(braid):
     from collections import deque
 
     n = braid.n_strands
-
-    def reduce_state(core, prefix):
-        core = list(free_reduce(core))
-        while len(core) >= 2 and core[0] == -core[-1]:
-            prefix = prefix + (core[0],)
-            core = core[1:-1]
-        return tuple(core), prefix
-
-    start = reduce_state(tuple(braid.letters), ())
+    start = cyclic_reduce(braid.letters)
     seen = {start[0]}
     queue = deque([start])
     while queue:
         core, prefix = queue.popleft()
         if not core:
-            witness = BraidWord(n, prefix)
             if braid_equal(braid, BraidWord.identity(n)):
                 return 0, BraidWord.identity(n)
             continue
@@ -266,8 +257,8 @@ def conjugate_power_witness(braid):
             if abs(abs(core[i]) - abs(core[i + 1])) >= 2:
                 moves.append((core[:i] + (core[i + 1], core[i]) + core[i + 2:], prefix))
         for nc, np in moves:
-            nc, np = reduce_state(nc, np)
+            nc, more = cyclic_reduce(nc)
             if nc not in seen and len(seen) < MAX_STATES:
                 seen.add(nc)
-                queue.append((nc, np))
+                queue.append((nc, np + more))
     return None

@@ -131,13 +131,16 @@ def cmd_fiber(args):
     inputs = {"x": args.x, "mode": args.mode}
     try:
         roots = quartic.fiber_solve(curve, args.x, mode=args.mode)
-    except OverflowError as exc:
+    except (OverflowError, quartic.CurveError) as exc:
         return _report("fiber", inputs, {"x": args.x},
                        [("root_count", False, checks.exception_witness(exc))])
     results = {"x": args.x, "roots": [
         {"value": r.value, "radius": r.radius, "multiplicity": r.multiplicity}
         for r in roots]}
     check_list = []
+    total = sum(r.multiplicity for r in roots)
+    count = {"total_multiplicity": total}
+    count_ok = total == 4
     if args.x.imag == 0:
         vals = [r.value for r in roots for _ in range(r.multiplicity)]
         tol = 1e-9 * max(1.0, max(abs(v) for v in vals))  # relative to the root size
@@ -147,11 +150,15 @@ def cmd_fiber(args):
                            {"conjugation": conj, "negation": neg}))
         try:
             pattern = quartic.classify_real_fiber(curve, args.x.real).pattern.value
-            results["pattern"] = pattern
         except quartic.CurveError:
-            results["pattern"] = "critical"
-    total = sum(r.multiplicity for r in roots)
-    check_list.append(("root_count", total == 4, {"total_multiplicity": total}))
+            pattern = "critical"
+        results["pattern"] = pattern
+        # the exact pattern fixes how many distinct roots the fiber has
+        expected = {"TwoDoubleReal": 2, "critical": 3}.get(pattern, 4)
+        if len(roots) != expected:
+            count_ok = False
+            count.update(distinct_roots=len(roots), expected_distinct=expected)
+    check_list.append(("root_count", count_ok, count))
     return _report("fiber", inputs, results, check_list)
 
 

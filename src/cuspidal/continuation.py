@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .roots import (_certified_radius, _eval_error_bound, eval_poly,
-                    eval_poly_deriv, roots_univariate)
+from .roots import _certified_radius, _eval_error_bound, eval_poly, eval_poly_deriv
 
 HALVING_BUDGET = 40
+NEWTON_STEPS = 24  # Newton iterations per corrector run
+NEWTON_TOL = 5e-13  # relative step size at which a corrector run converges
 
 
 class ContinuationError(RuntimeError):
@@ -52,23 +53,23 @@ class StrandPath:
     samples: list  # (parameter in [0,1], complex position)
 
 
-def _newton_track(coeffs, z, sep, tol=5e-13, iterations=24):
+def _newton_track(coeffs, z, sep):
     """Newton iteration returning (converged, new position).
 
-    A run converges when a step falls below tol * max(1, |z|).  Near a
+    A run converges when a step falls below NEWTON_TOL * max(1, |z|).  Near a
     collision of strands p/p' can stay above that for rounding noise alone,
     so a run that never passes the step test still converges when it ends
     at the rounding floor: |p(z)| within the Horner error bound and an
     inclusion radius below sep/6.
     """
     scale = max(1.0, abs(z))
-    for _ in range(iterations):
+    for _ in range(NEWTON_STEPS):
         p, dp = eval_poly_deriv(coeffs, z)
         if dp == 0:
             return False, z
         step = p / dp
         z = z - step
-        if abs(step) < tol * scale:
+        if abs(step) < NEWTON_TOL * scale:
             return True, z
     at_floor = abs(eval_poly(coeffs, z)) <= _eval_error_bound(coeffs, z)
     return at_floor and _certified_radius(coeffs, z) < sep / 6.0, z
@@ -84,17 +85,16 @@ def _min_pairwise(points):
     return best if best is not None else float("inf")
 
 
-def continue_roots(fiber_coeffs, path, initial=None):
+def continue_roots(fiber_coeffs, path, initial):
     """Track all simple fiber roots along a piecewise-linear path of x values.
 
     fiber_coeffs(x) must return the ascending coefficient list of the fiber
-    polynomial at x.  Returns one StrandPath per root; strand k starts at the
-    k-th initial root.  The final samples sit at parameter 1.
+    polynomial at x, and initial its roots (ApproxRoots) over path[0].
+    Returns one StrandPath per root; strand k starts at the k-th initial
+    root.  The final samples sit at parameter 1.
     """
     if len(path) < 1:
         raise ValueError("empty path")
-    if initial is None:
-        initial = roots_univariate(fiber_coeffs(path[0]), mode="simple")
     positions = [complex(r.value) for r in initial]
     n = len(positions)
     if n < 1:

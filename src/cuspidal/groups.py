@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .braids import artin_action, free_reduce, word_inverse
+from .braids import artin_action, cyclic_reduce, free_reduce, word_inverse
 from .linalg import invariant_factors
 
 OVERFLOW = "overflow"
@@ -48,13 +48,6 @@ class Presentation:
                 "relators": [list(r) for r in self.relators]}
 
 
-def _cyclic_reduce_word(word):
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
-
-
 def _cyclic_variants(word):
     variants = set()
     for w in (tuple(word), word_inverse(word)):
@@ -71,7 +64,7 @@ def same_relator(r1, r2):
 def _dedupe_relators(relators):
     out = []
     for r in relators:
-        r = _cyclic_reduce_word(r)
+        r, _ = cyclic_reduce(r)
         if not r:
             continue
         if any(same_relator(r, s) for s in out):
@@ -437,7 +430,7 @@ def _try_shorten(r, s):
                     if idx < 0:
                         continue
                     tail = dd[start + wlen:start + L]
-                    cand = _cyclic_reduce_word(
+                    cand, _ = cyclic_reduce(
                         rot[:idx] + word_inverse(tail) + rot[idx + wlen:])
                     if len(cand) < len(r) and (best is None or len(cand) < len(best)):
                         best = cand
@@ -522,18 +515,3 @@ def _renumber_word(word, gen):
             a -= 1
         out.append(a if g > 0 else -a)
     return tuple(out)
-
-
-# -- fingerprints ---------------------------------------------------------------------
-
-def fingerprint(p, max_cosets=20000):
-    """Isomorphism-invariant snapshot used to compare presentations.
-
-    (abelianization, coset order or 'overflow', #homs to S3,
-     #transposition-transitive classes into S4)
-    """
-    classes, _ = enumerate_homs_to_sym(p, 4)
-    return (tuple(abelianization(p)),
-            todd_coxeter(p, max_cosets),
-            count_homs(p, 3),
-            len(classes))

@@ -72,10 +72,6 @@ def solve(rows, rhs):
     return x
 
 
-def mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 def smith_normal_form(rows):
     """Diagonal entries of the Smith normal form of an integer matrix."""
     m = [[int(x) for x in row] for row in rows]

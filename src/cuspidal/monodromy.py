@@ -247,8 +247,7 @@ def _start_roots(sheared, basepoint):
     root with negative imaginary part always comes first instead of
     whichever one rounding put an ulp further left.
     """
-    roots = roots_univariate(fiber_evaluator(sheared, basepoint)(basepoint),
-                             mode="simple")
+    roots = roots_univariate(fiber_evaluator(sheared, basepoint)(basepoint))
     values = [r.value for r in roots]
     out = []
     for r in roots:
@@ -310,18 +309,9 @@ def monodromy_factorization(curve=None, basepoint=None, shear=DEFAULT_SHEAR,
         start_roots=start_roots, strand_paths=all_paths)
 
 
-def connecting_braid(curve, from_basepoint, to_basepoint, shear=DEFAULT_SHEAR,
-                     via=None):
-    """Braid of dragging the basepoint along a given waypoint path."""
-    sheared = sheared_curve(curve, Fraction(shear))
-    waypoints = via if via is not None else [from_basepoint, to_basepoint]
-    paths = continue_roots(fiber_evaluator(sheared, from_basepoint), waypoints,
-                           initial=_start_roots(sheared, from_basepoint))
-    return braid_from_strand_paths(paths)
-
-
-def strand_paths_svg(paths, width=640, height=480):
+def strand_paths_svg(paths):
     """Non-normative SVG plot of strand paths in the fiber plane."""
+    width, height = 640, 480
     xs = [z.real for p in paths for _, z in p.samples]
     ys = [z.imag for p in paths for _, z in p.samples]
     x0, x1 = min(xs), max(xs)

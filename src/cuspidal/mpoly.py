@@ -101,13 +101,6 @@ class MPoly:
             terms[tuple(new)] = coeff
         return MPoly(variables, terms)
 
-    def renamed(self, mapping):
-        """Rename variables through a dict old -> new (bijective on names used)."""
-        new_vars = tuple(mapping.get(v, v) for v in self.variables)
-        if len(set(new_vars)) != len(new_vars):
-            raise VariableMismatchError("renaming collides variable names")
-        return MPoly(new_vars, dict(self.terms))
-
     def dropped(self, name):
         """Remove an unused variable from the ring."""
         if self.degree_in(name) > 0:
@@ -216,14 +209,6 @@ class MPoly:
         if not self.terms:
             return -1
         return max(e[i] for e in self.terms)
-
-    def is_homogeneous(self, weights=None):
-        if not self.terms:
-            return True
-        if weights is None:
-            weights = (1,) * len(self.variables)
-        degs = {sum(w * e for w, e in zip(weights, expo)) for expo in self.terms}
-        return len(degs) == 1
 
     def coefficient(self, expo):
         return self.terms.get(tuple(expo), Fraction(0))
@@ -388,16 +373,6 @@ def ring(*names):
     if len(names) == 1 and "," in names[0]:
         names = tuple(s.strip() for s in names[0].split(","))
     return tuple(MPoly.variable(n, names) for n in names)
-
-
-def align(*polys):
-    """Embed polynomials into the union ring (variables in first-seen order)."""
-    variables = []
-    for p in polys:
-        for v in p.variables:
-            if v not in variables:
-                variables.append(v)
-    return tuple(p.extended(variables) for p in polys)
 
 
 def _divide_exact(a, b):

@@ -73,10 +73,6 @@ class ParamCurve:
     def evaluate(self, t):
         return tuple(c.evaluate({"t": t}) for c in self.components)
 
-    def affine_point(self, t):
-        X, Y, Z = self.evaluate(t)
-        return (X / Z, Y / Z)
-
 
 def _from_coeffs(coeffs):
     return MPoly(("t",), {(i,): c for i, c in enumerate(coeffs)})
@@ -199,22 +195,14 @@ class FiberStructure:
     labels: dict = field(default_factory=dict)
 
 
-def fiber_coeffs(curve, x0):
-    """Ascending coefficients in y of the fiber polynomial at x = x0."""
-    return [c.evaluate({"x": x0}) for c in curve.equation.as_univariate("y")]
-
-
 def fiber_solve(curve, x0, mode="cluster"):
-    """Fiber roots over x0, via the closed biquadratic form when available.
+    """Fiber roots over x0 from the closed biquadratic form, multiple roots
+    merged with their multiplicity; mode "simple" raises CurveError on a
+    multiple root.
 
-    Raises OverflowError when the closed form leaves double precision."""
-    try:
-        A, B = biquadratic_parts(curve)
-    except CurveError:
-        coeffs = fiber_coeffs(curve, x0)
-        if coeffs[-1] == 0:
-            raise CurveError("leading fiber coefficient vanished")
-        return roots_univariate(coeffs, mode=mode)
+    Raises CurveError for a curve whose fiber is not biquadratic, and
+    OverflowError when the closed form leaves double precision."""
+    A, B = biquadratic_parts(curve)
     a = complex(A.evaluate({"x": complex(x0)}))
     b = complex(B.evaluate({"x": complex(x0)}))
     disc = a * a - 4 * b
@@ -263,7 +251,7 @@ def classify_real_fiber(curve, x0):
     a = A.evaluate({"x": xq})
     b = B.evaluate({"x": xq})
     th = a * a - 4 * b
-    roots = fiber_solve(curve, float(x0), mode="cluster")
+    roots = fiber_solve(curve, float(x0))
     labels = {}
     if th < 0:
         pattern = FiberPattern.COMPLEX_QUADRUPLE
@@ -329,8 +317,7 @@ def critical_values(curve, shear=Fraction(0)):
         rational, cofactor = xp.rational_roots(factor)
         out.extend((complex(q), mult) for q in rational)
         if xp.degree(cofactor) >= 1:
-            simple = roots_univariate([float(c) for c in cofactor], mode="simple")
-            for r in simple:
+            for r in roots_univariate([float(c) for c in cofactor]):
                 value = r.value
                 if abs(value.imag) < 1e-10 * max(1.0, abs(value)):
                     value = complex(value.real, 0.0)  # conjugate-symmetric snap
@@ -354,7 +341,7 @@ def hessian_determinant(curve):
     return determinant(rows)
 
 
-def flexes_and_cusps(cubic=None):
+def flexes_and_cusps():
     """Flex parameters of D and the cusps of its dual quartic C.
 
     The affine flexes sit at 3t^2 = 1 (x = 4/3); the third flex is the
@@ -362,7 +349,7 @@ def flexes_and_cusps(cubic=None):
     of C.  Exactness: the Hessian pullback is a rational multiple of
     (3t^2 - 1)(t^2 + 1)^m, checked by exact division.
     """
-    cubic = cubic or nodal_cubic_param()
+    cubic = nodal_cubic_param()
     hess = hessian_determinant(nodal_cubic())
     assignments = {v: c for v, c in zip(PLANE_VARS, cubic.components)}
     pullback = hess.compose(assignments, ("t",)).univariate_coeffs("t")
@@ -424,8 +411,7 @@ def _dual_point_at_flex(dual):
     return xs, ysq
 
 
-def dual_of_dual(param_of_c=None, curve_c=None):
+def dual_of_dual():
     """Gradient parametrization of C's dual: lands back on the cubic D."""
-    curve_c = curve_c or cuspidal_quartic()
-    param_of_c = param_of_c or dual_parametrization(nodal_cubic_param(), nodal_cubic())
-    return dual_parametrization(param_of_c, curve_c)
+    param_of_c = dual_parametrization(nodal_cubic_param(), nodal_cubic())
+    return dual_parametrization(param_of_c, cuspidal_quartic())

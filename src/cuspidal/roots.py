@@ -14,6 +14,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
+ABERTH_STEPS = 200
+ABERTH_TOL = 1e-13  # relative step size at which Aberth stops
+
 
 class RootFindingError(RuntimeError):
     """Iteration did not converge within its budget."""
@@ -25,8 +28,8 @@ class ApproxRoot:
     radius: float
     multiplicity: int = 1
 
-    def overlaps(self, other, inflation=1.0):
-        return abs(self.value - other.value) <= inflation * (self.radius + other.radius)
+    def overlaps(self, other):
+        return abs(self.value - other.value) <= self.radius + other.radius
 
 
 def eval_poly(coeffs, z):
@@ -45,8 +48,8 @@ def eval_poly_deriv(coeffs, z):
     return p, dp
 
 
-def newton_polish(coeffs, z, iterations=5):
-    for _ in range(iterations):
+def newton_polish(coeffs, z):
+    for _ in range(5):
         p, dp = eval_poly_deriv(coeffs, z)
         if dp == 0:
             break
@@ -62,13 +65,13 @@ def _cauchy_radius(coeffs):
     return 1.0 + max(abs(c) for c in coeffs[:-1]) / lead if len(coeffs) > 1 else 1.0
 
 
-def _aberth(coeffs, tol=1e-13, max_iter=200):
+def _aberth(coeffs):
     n = len(coeffs) - 1
     radius = _cauchy_radius(coeffs)
     z = [radius * cmath.exp(2j * math.pi * (k + 0.25) / n + 0.41j / n)
          for k in range(n)]
     scale = max(1.0, max(abs(c) for c in coeffs))
-    for _ in range(max_iter):
+    for _ in range(ABERTH_STEPS):
         worst = 0.0
         for i in range(n):
             p, dp = eval_poly_deriv(coeffs, z[i])
@@ -83,7 +86,7 @@ def _aberth(coeffs, tol=1e-13, max_iter=200):
             step = p / denom
             z[i] -= step
             worst = max(worst, abs(step) / (1.0 + abs(z[i])))
-        if worst < tol:
+        if worst < ABERTH_TOL:
             return z
     # near multiple roots the simultaneous iteration stalls at cluster size,
     # and on large degrees it stalls at the rounding floor; accept if every
@@ -91,7 +94,7 @@ def _aberth(coeffs, tol=1e-13, max_iter=200):
     if all(abs(eval_poly(coeffs, zi)) <= max(1e-8 * scale, _eval_error_bound(coeffs, zi))
            for zi in z):
         return z
-    raise RootFindingError(f"Aberth iteration did not converge in {max_iter} steps")
+    raise RootFindingError(f"Aberth iteration did not converge in {ABERTH_STEPS} steps")
 
 
 def _eval_error_bound(coeffs, z):
@@ -115,40 +118,12 @@ def _certified_radius(coeffs, z):
     return r if math.isfinite(r) else math.inf
 
 
-def _merge_clusters(roots, inflation=2.0):
-    """Union-find merge of roots whose inflated disks overlap."""
-    n = len(roots)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if roots[i].overlaps(roots[j], inflation):
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(roots[i])
-    merged = []
-    for members in groups.values():
-        total = sum(m.multiplicity for m in members)
-        center = sum(m.value * m.multiplicity for m in members) / total
-        radius = max(abs(m.value - center) + m.radius for m in members)
-        merged.append(ApproxRoot(center, radius, total))
-    merged.sort(key=lambda r: (r.value.real, r.value.imag))
-    return merged
-
-
-def roots_univariate(coeffs, mode="simple"):
+def roots_univariate(coeffs):
     """All complex roots of an ascending coefficient list, with certified radii.
 
-    'simple' requires pairwise disjoint inclusion disks and multiplicity 1
-    everywhere; 'cluster' merges overlapping disks (inflated by 2) into
-    multiple roots.  Exact zero roots are peeled off symbolically first.
+    The roots must be simple: inclusion disks that overlap (a multiple root
+    or an unresolved cluster) raise RootFindingError.  Exact zero roots are
+    peeled off symbolically first.
     """
     coeffs = [complex(c) for c in coeffs]
     if not coeffs or coeffs[-1] == 0:
@@ -159,6 +134,8 @@ def roots_univariate(coeffs, mode="simple"):
     while coeffs[0] == 0:
         zero_mult += 1
         coeffs = coeffs[1:]
+    if zero_mult > 1:
+        raise RootFindingError("multiple root at 0")
     found = []
     if len(coeffs) > 1:
         if len(coeffs) == 2:
@@ -166,24 +143,13 @@ def roots_univariate(coeffs, mode="simple"):
         else:
             approx = _aberth(coeffs)
         approx = [newton_polish(coeffs, z) for z in approx]
-        radii = [_certified_radius(coeffs, z) for z in approx]
-        for i, r in enumerate(radii):
-            if math.isinf(r):
-                # z sits on a critical point to machine precision: a multiple
-                # root; cover the cluster partner instead of everything
-                others = [abs(approx[i] - approx[j]) for j in range(len(approx)) if j != i]
-                radii[i] = 2.0 * min(others) if others else 0.0
-        found = [ApproxRoot(z, r, 1) for z, r in zip(approx, radii)]
+        found = [ApproxRoot(z, _certified_radius(coeffs, z)) for z in approx]
     if zero_mult:
-        if mode == "simple" and zero_mult > 1:
-            raise RootFindingError("multiple root at 0 in simple mode")
-        found.extend(ApproxRoot(0j, 0.0, 1) for _ in range(zero_mult))
-    if mode == "simple":
-        for i in range(len(found)):
-            for j in range(i + 1, len(found)):
-                if found[i].overlaps(found[j]):
-                    raise RootFindingError(
-                        f"roots {found[i].value:.6g} and {found[j].value:.6g} "
-                        "have overlapping certificates in simple mode")
-        return sorted(found, key=lambda r: (r.value.real, r.value.imag))
-    return _merge_clusters(found)
+        found.append(ApproxRoot(0j, 0.0))
+    for i in range(len(found)):
+        for j in range(i + 1, len(found)):
+            if found[i].overlaps(found[j]):
+                raise RootFindingError(
+                    f"roots {found[i].value:.6g} and {found[j].value:.6g} "
+                    "have overlapping certificates")
+    return sorted(found, key=lambda r: (r.value.real, r.value.imag))

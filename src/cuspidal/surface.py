@@ -13,7 +13,6 @@ diagonal coordinate change, computed here and verified rather than assumed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +27,7 @@ T_VARS = ("t0", "t1")
 L_VARS = ("l0", "l1", "l2")
 # the Veronese conic l0 l2 - l1^2, traced by gamma-tilde(t) = (1, t, t^2)
 VERONESE = ((0, 0, Fraction(1, 2)), (0, -1, 0), (Fraction(1, 2), 0, 0))
+SAMPLE_PARAMS = (0, 1, -1, 2, Fraction(1, 2))  # cone parameters t the checks sample
 
 
 def _symmetric_matrix(matrix, n):
@@ -101,16 +101,6 @@ def quadrics_through_twisted_cubic():
     return q0, q1, q2
 
 
-def quadrics_vanish_on_cubic():
-    """Exact: every Q in the net pulls back to zero on v3."""
-    comps = twisted_cubic()
-    sub = {v: c for v, c in zip(X_VARS, comps)}
-    for q in quadrics_through_twisted_cubic():
-        if not q.form().compose(sub, T_VARS).is_zero():
-            raise StructureError("a net quadric does not vanish on the cubic")
-    return True
-
-
 def net_matrix():
     """lambda . Q as a 4x4 matrix of linear forms in (l0, l1, l2)."""
     ls = ring(*L_VARS)
@@ -154,26 +144,10 @@ def gamma_tilde(t):
     return (Fraction(1), t, t * t)
 
 
-def gamma_tilde_is_the_vertex_map():
-    """Exact: M(t0^2, t0 t1, t1^2) kills v3(t) identically."""
-    t0, t1 = ring(*T_VARS)
-    lam = (t0 * t0, t0 * t1, t1 * t1)
-    comps = twisted_cubic()
-    m = net_matrix()
-    for i in range(4):
-        acc = MPoly.zero(T_VARS)
-        for j in range(4):
-            entry = m[i][j].compose({"l0": lam[0], "l1": lam[1], "l2": lam[2]}, T_VARS)
-            acc = acc + entry * comps[j]
-        if not acc.is_zero():
-            raise StructureError("gamma-tilde is not the vertex family")
-    return True
-
-
-def cone_vertex_check(samples=(0, 1, -1, 2, Fraction(1, 2))):
+def cone_vertex_check():
     """The rank-3 members of the net have their vertex on the cubic."""
     qs = quadrics_through_twisted_cubic()
-    for t in samples:
+    for t in SAMPLE_PARAMS:
         lam = gamma_tilde(t)
         m = [[sum(lam[k] * qs[k].matrix[i][j] for k in range(3)) for j in range(4)]
              for i in range(4)]
@@ -354,26 +328,6 @@ def dual_meets_veronese_transversally(f):
     return xp.degree(xp.gcd(cubic, xp.derivative(cubic))) == 0
 
 
-def tangency_condition(f, t):
-    """Discriminant of the conic C_F restricted to the line dual to
-    gamma-tilde(t); zero iff the conic is tangent there."""
-    m = _conic_matrix(f)
-    lam = gamma_tilde(t)
-    pivot = max(range(3), key=lambda i: abs(lam[i]))
-    others = [i for i in range(3) if i != pivot]
-    k1 = [Fraction(0)] * 3
-    k1[others[0]] = lam[pivot]
-    k1[pivot] = -lam[others[0]]
-    k2 = [Fraction(0)] * 3
-    k2[others[1]] = lam[pivot]
-    k2[pivot] = -lam[others[1]]
-
-    def pair(u, v):
-        return sum(m[i][j] * u[i] * v[j] for i in range(3) for j in range(3))
-
-    return pair(k1, k2) ** 2 - pair(k1, k1) * pair(k2, k2)
-
-
 @lru_cache(maxsize=None)
 def tangency_matches_pinch_symbolically():
     """Exact identity: restriction discriminant = const * t1^2 * Delta(F).
@@ -414,36 +368,6 @@ def tangency_matches_pinch_symbolically():
     if ratio is None or tang != target * ratio:
         raise StructureError("tangency discriminant is not t1^2 * Delta up to scale")
     return ratio
-
-
-def worked_pinch_determinant():
-    """Recompute the 2x2 pinch matrix determinant of the worked coordinates.
-
-    Basis: cones at t = (1:0), (0:1), (1:1); at the point t1 = 0 the
-    evaluated sections are (1, b0), (0, 0), (1, b2).  Returns
-    (det, corrected_factor) with det = (b0-b2)^2 (l00 l22 - l02^2/4); the
-    printed form with l00^2 in the second factor does not match.
-    """
-    vars_ = ("b0", "b2", "l00", "l02", "l22")
-    b0, b2, l00, l02, l22 = ring(*vars_)
-    a = (MPoly.constant(1, vars_), MPoly.zero(vars_), MPoly.constant(1, vars_))
-    b = (b0, MPoly.zero(vars_), b2)
-    lam = {(0, 0): l00, (0, 2): l02, (2, 2): l22}
-    m11 = MPoly.zero(vars_)
-    m12 = MPoly.zero(vars_)
-    m22 = MPoly.zero(vars_)
-    for (i, j), l in lam.items():
-        m11 = m11 + l * a[i] * a[j]
-        m12 = m12 + l * (a[i] * b[j] + a[j] * b[i]) * Fraction(1, 2)
-        m22 = m22 + l * b[i] * b[j]
-    det = m11 * m22 - m12 * m12
-    corrected = (b0 - b2) ** 2 * (l00 * l22 - Fraction(1, 4) * l02 ** 2)
-    printed = (b0 - b2) ** 2 * (l00 * l22 - 4 * l00 ** 2)
-    if det != corrected:
-        raise StructureError("worked determinant does not match the corrected factor")
-    if det == printed:
-        raise StructureError("the printed factor unexpectedly matches")
-    return det, corrected
 
 
 # -- P in the net --------------------------------------------------------------
@@ -519,23 +443,6 @@ def adjugate(g):
                      - g[rows[0]][cols[1]] * g[rows[1]][cols[0]])
             adj[j][i] = minor * (-1) ** (i + j)
     return tuple(tuple(r) for r in adj)
-
-
-def dual_conic_of_gamma_tilde():
-    """Adjugate of the Veronese conic l0 l2 - l1^2."""
-    return ConicForm(adjugate(VERONESE))
-
-
-def proportional_matrices(m1, m2):
-    flat1 = [e for row in m1 for e in row]
-    flat2 = [e for row in m2 for e in row]
-    pivot = next((k for k, e in enumerate(flat2) if e != 0), None)
-    if pivot is None:
-        return all(e == 0 for e in flat1)
-    if flat1[pivot] == 0:
-        return False
-    c = flat1[pivot] / flat2[pivot]
-    return all(a == c * b for a, b in zip(flat1, flat2))
 
 
 # -- the developable map in cover coordinates -----------------------------------
@@ -634,8 +541,7 @@ def gauss_rank_at(surface_poly, point):
     return rank(gram)
 
 
-def veronese_bidouble_model_check(samples=((1, 2, 3), (1, 1, 1), (2, -1, 3),
-                                           (5, 1, -2), (1, -4, 2))):
+def veronese_bidouble_model_check():
     """The squared-coordinates parametrization satisfies all rank-1 minors."""
     ys = ("y1", "y2", "y3")
     y1, y2, y3 = ring(*ys)
@@ -653,7 +559,7 @@ def veronese_bidouble_model_check(samples=((1, 2, 3), (1, 1, 1), (2, -1, 3),
                              - entries[(i1, j2)] * entries[(i2, j1)])
                     if not minor.is_zero():
                         raise StructureError("a Veronese minor fails to vanish")
-    for sample in samples:
+    for sample in ((1, 2, 3), (1, 1, 1), (2, -1, 3), (5, 1, -2), (1, -4, 2)):
         vals = {"y1": Fraction(sample[0]), "y2": Fraction(sample[1]),
                 "y3": Fraction(sample[2])}
         m = [[entries[(i, j)].evaluate(vals) for j in range(3)] for i in range(3)]
@@ -683,7 +589,7 @@ def unique_conic_through(params):
     return len(kernel), kernel
 
 
-def unique_quartic_check(params=(0, 1, -1, 2, Fraction(1, 2))):
+def unique_quartic_check(params=SAMPLE_PARAMS):
     """Five distinct cone points force the conic: dimension 1, spanned by
     the Veronese conic l0 l2 - l1^2."""
     if len(params) != 5:
@@ -705,7 +611,7 @@ def random_symmetric_matrix(rng):
     return tuple(tuple(r) for r in m)
 
 
-def conormal_zero_property(samples=(0, 1, -1, 2, Fraction(1, 2))):
+def conormal_zero_property():
     """The cone at t* induces a conormal section vanishing simply at t*.
 
     Components are linear forms, so once the section vanishes at t* and is
@@ -713,7 +619,7 @@ def conormal_zero_property(samples=(0, 1, -1, 2, Fraction(1, 2))):
     nonzero component is a scalar multiple of the linear form cutting t*).
     """
     sections = conormal_sections()
-    for t in samples:
+    for t in SAMPLE_PARAMS:
         lam = gamma_tilde(t)
         a = [sum(lam[i] * sections[i][0][k] for i in range(3)) for k in range(2)]
         b = [sum(lam[i] * sections[i][1][k] for i in range(3)) for k in range(2)]

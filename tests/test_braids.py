@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cuspidal.braids import (
     ArcSpec, BraidWord, artin_action, braid_equal, compose_permutations,
@@ -117,9 +119,21 @@ def test_tangency_halftwist_matches_sigma_action():
 
 
 def test_cyclic_reduce():
-    core, conj = cyclic_reduce(B(4, -3, 2, 1, 1, 1, -2, 3))
-    assert core.letters == (1, 1, 1)
-    assert conj.letters == (-3, 2)
+    assert cyclic_reduce((-3, 2, 1, 1, 1, -2, 3)) == ((1, 1, 1), (-3, 2))
+    assert cyclic_reduce((1, 2, -2, -1)) == ((), ())
+    assert cyclic_reduce((1, 2, -1)) == ((2,), (1,))
+
+
+@given(st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=16))
+def test_cyclic_reduce_matches_end_stripping(letters):
+    core, prefix = cyclic_reduce(letters)
+    w = list(free_reduce(letters))
+    stripped = []
+    while len(w) >= 2 and w[0] == -w[-1]:  # strip one pair of ends at a time
+        stripped.append(w[0])
+        w = w[1:-1]
+    assert (core, prefix) == (tuple(w), tuple(stripped))
+    assert prefix + core + tuple(-g for g in reversed(prefix)) == free_reduce(letters)
 
 
 def test_conjugate_power_witness():

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from cuspidal import surface
+from cuspidal import checks, surface
 from cuspidal.bidouble import StructureError
 from cuspidal.cli import main
 
@@ -156,6 +156,20 @@ def test_surface_checks_pass_for_a_sample_with_a_double_pinch_point(capsys):
     assert all(c["pass"] for c in json.loads(out)["checks"])
 
 
+def test_a_coset_overflow_fails_group_fingerprints(capsys, monkeypatch):
+    # the projective presentation from the computed factorization closes
+    # only after 143 defined cosets, the fixture's after 72
+    monkeypatch.setattr(checks, "MAX_COSETS", 78)
+    code, out = run_cli(capsys, "reproduce-all")
+    assert code == 1
+    data = json.loads(out)
+    assert data["results"] == {"criteria": 11, "passed": 10}
+    [failed] = [c for c in data["checks"] if not c["pass"]]
+    assert failed["name"] == "group_fingerprints"
+    assert failed["witness"] == {"exception": "RuntimeError",
+                                 "message": "coset enumeration overflowed at 78"}
+
+
 def test_a_raising_surface_step_is_a_failed_check(capsys, monkeypatch):
     def broken():
         raise StructureError("P is not the tangent surface of the cubic")
@@ -213,3 +227,36 @@ def test_fiber_far_from_the_cusps_has_four_simple_symmetric_roots(capsys, x):
     data = _strict_json(out)
     assert [r["multiplicity"] for r in data["results"]["roots"]] == [1, 1, 1, 1]
     assert all(c["pass"] for c in data["checks"])
+
+
+@pytest.mark.parametrize("x", ["-1", "-1.125", "1e30"])
+def test_fiber_simple_mode_on_a_multiple_root_is_a_structured_fail(capsys, x):
+    code, out = run_cli(capsys, "fiber", f"--x={x}", "--mode", "simple")
+    assert code == 1
+    [check] = _strict_json(out)["checks"]
+    assert check["name"] == "root_count" and not check["pass"]
+    assert check["witness"]["exception"] == "CurveError"
+
+
+@pytest.mark.parametrize("x, pattern, distinct", [
+    ("-1", "critical", 3), ("0", "critical", 3), ("-1.125", "TwoDoubleReal", 2),
+])
+def test_fiber_distinct_roots_match_the_exact_pattern(capsys, x, pattern, distinct):
+    code, out = run_cli(capsys, "fiber", f"--x={x}")
+    assert code == 0
+    data = _strict_json(out)
+    assert data["results"]["pattern"] == pattern
+    assert len(data["results"]["roots"]) == distinct
+    assert all(c["pass"] for c in data["checks"])
+
+
+@pytest.mark.parametrize("x", ["1e30", "-1e30"])
+def test_fiber_with_merged_simple_roots_fails_root_count(capsys, x):
+    # no critical value, but Theta = A^2 - 4B ~ 32 x^3 is below the rounding
+    # of A^2 ~ 4 x^4, so the closed form returns the two root pairs merged
+    code, out = run_cli(capsys, "fiber", f"--x={x}")
+    assert code == 1
+    [count] = [c for c in _strict_json(out)["checks"] if c["name"] == "root_count"]
+    assert not count["pass"]
+    assert count["witness"] == {"total_multiplicity": 4, "distinct_roots": 2,
+                                "expected_distinct": 4}

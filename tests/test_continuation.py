@@ -21,7 +21,8 @@ def circle(center, radius, start_angle=0.0, turns=1.0, steps=24):
 
 
 def test_constant_path_is_constant():
-    paths = continue_roots(fiber_c, [-0.5, -0.5, -0.5])
+    paths = continue_roots(fiber_c, [-0.5, -0.5, -0.5],
+                           initial=roots_univariate(fiber_c(-0.5)))
     for p in paths:
         assert all(abs(z - p.samples[0][1]) < 1e-14 for _, z in p.samples)
 
@@ -30,7 +31,7 @@ def test_real_strands_become_real_past_tangency():
     # detour counterclockwise around the tangency at x = -1 (its critical value)
     detour = [-1 + 0.02 * cmath.exp(1j * t * math.pi / 8) for t in range(9)]
     path = [-0.5, -0.98] + detour + [-1.05]
-    start = roots_univariate(fiber_c(-0.5), mode="simple")
+    start = roots_univariate(fiber_c(-0.5))
     paths = continue_roots(fiber_c, path, initial=start)
     start_real = sorted(abs(r.value.imag) < 1e-12 for r in start)
     assert start_real == [False, False, True, True]
@@ -40,7 +41,7 @@ def test_real_strands_become_real_past_tangency():
 
 def test_straight_path_through_critical_value_fails():
     with pytest.raises(ContinuationError):
-        continue_roots(fiber_c, [-0.5, -1.05])
+        continue_roots(fiber_c, [-0.5, -1.05], initial=roots_univariate(fiber_c(-0.5)))
 
 
 def test_clearance_precondition():
@@ -50,7 +51,7 @@ def test_clearance_precondition():
 
 
 def test_loop_around_origin_swaps_colliding_strands():
-    start = roots_univariate(fiber_c(-0.5), mode="simple")
+    start = roots_univariate(fiber_c(-0.5))
     loop = circle(0.0, 0.5, start_angle=math.pi, steps=48)
     paths = continue_roots(fiber_c, loop, initial=start)
     perm = end_permutation(paths, start)
@@ -63,7 +64,7 @@ def test_loop_around_origin_swaps_colliding_strands():
 
 
 def test_loop_then_reverse_is_identity():
-    start = roots_univariate(fiber_c(-0.5), mode="simple")
+    start = roots_univariate(fiber_c(-0.5))
     loop = circle(0.0, 0.5, start_angle=math.pi, steps=48)
     both = loop + loop[::-1]
     paths = continue_roots(fiber_c, both, initial=start)
@@ -72,7 +73,7 @@ def test_loop_then_reverse_is_identity():
 
 
 def test_reversed_loop_inverts_permutation():
-    start = roots_univariate(fiber_c(-0.5), mode="simple")
+    start = roots_univariate(fiber_c(-0.5))
     loop = circle(0.0, 0.5, start_angle=math.pi, steps=48)
     perm_f = end_permutation(continue_roots(fiber_c, loop, initial=start), start)
     perm_b = end_permutation(continue_roots(fiber_c, loop[::-1], initial=start), start)
@@ -82,7 +83,7 @@ def test_reversed_loop_inverts_permutation():
 
 def test_fiber_symmetry_under_conjugation_and_negation():
     for x in (-0.5, 0.7, -1.06):
-        roots = roots_univariate(fiber_c(x), mode="cluster")
+        roots = roots_univariate(fiber_c(x))
         vals = [r.value for r in roots for _ in range(r.multiplicity)]
         for v in vals:
             assert min(abs(v.conjugate() - w) for w in vals) < 1e-9

@@ -10,7 +10,7 @@ from cuspidal.braids import (
 )
 from cuspidal.groups import (
     OVERFLOW, Presentation, abelianization, add_projective_relation,
-    coset_action, count_homs, enumerate_homs_to_sym, fingerprint, perm_word,
+    coset_action, count_homs, enumerate_homs_to_sym, perm_word,
     same_relator, tietze_simplify, todd_coxeter, van_kampen,
 )
 from cuspidal.groups import _tc_run, _transitive
@@ -42,6 +42,15 @@ def fixture_factors():
 def mu_images():
     return (transposition(4, 1, 2), transposition(4, 2, 3),
             transposition(4, 2, 4), transposition(4, 1, 4))
+
+
+def fingerprint(p):
+    """Isomorphism-invariant snapshot used to compare presentations:
+    (abelianization, coset order or 'overflow', #homs to S3,
+     #transposition-transitive classes into S4)."""
+    classes, _ = enumerate_homs_to_sym(p, 4)
+    return (tuple(abelianization(p)), todd_coxeter(p, max_cosets=20000),
+            count_homs(p, 3), len(classes))
 
 
 def test_van_kampen_empty_factors_is_free():

@@ -7,17 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspidal.braids import (
-    BraidWord, braid_equal, compose_permutations, conjugate_power_witness,
-    cycle_notation, is_transposition, permutation_image,
+    braid_equal, compose_permutations, conjugate_power_witness,
+    is_transposition, permutation_image,
 )
-from cuspidal.continuation import StrandPath
+from cuspidal.continuation import StrandPath, continue_roots
 from cuspidal.groups import (
     abelianization, add_projective_relation, todd_coxeter, van_kampen,
 )
 from cuspidal.monodromy import (
-    SweepError, _start_roots, braid_from_strand_paths, build_loops,
-    connecting_braid, default_basepoint, fiber_evaluator,
-    monodromy_factorization, strand_paths_svg,
+    DEFAULT_SHEAR, _start_roots, braid_from_strand_paths, build_loops,
+    default_basepoint, fiber_evaluator, monodromy_factorization,
+    strand_paths_svg,
 )
 from cuspidal.mpoly import MPoly
 from cuspidal.quartic import critical_values, cuspidal_quartic, sheared_curve
@@ -127,6 +127,14 @@ def test_group_fingerprints_from_numeric_factorization():
     assert todd_coxeter(proj, max_cosets=10000) == 12
 
 
+def connecting_braid(curve, from_basepoint, via):
+    """Braid of dragging the basepoint along the waypoints via."""
+    sheared = sheared_curve(curve, DEFAULT_SHEAR)
+    paths = continue_roots(fiber_evaluator(sheared, from_basepoint), via,
+                           initial=_start_roots(sheared, from_basepoint))
+    return braid_from_strand_paths(paths)
+
+
 def test_basepoint_drag_conjugates_each_factor():
     result = factorization()
     new_bp = 0.3
@@ -134,7 +142,7 @@ def test_basepoint_drag_conjugates_each_factor():
     r = 0.05
     upper = [r * cmath.exp(1j * math.pi * (1 - k / 8)) for k in range(9)]
     via = [result.basepoint, -r] + upper[1:] + [new_bp]
-    drag = connecting_braid(cuspidal_quartic(), result.basepoint, new_bp, via=via)
+    drag = connecting_braid(cuspidal_quartic(), result.basepoint, via)
     moved = monodromy_factorization(basepoint=new_bp)
     assert moved.exponent_sums() == [3, 3, 1, 3]
     for f_old, f_new in zip(result.factors, moved.factors):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspidal.mpoly import (
-    MPoly, VariableMismatchError, align, determinant, homogeneous_sqrt,
+    MPoly, VariableMismatchError, determinant, homogeneous_sqrt,
     resultant, ring,
 )
 
@@ -203,7 +203,7 @@ def test_biquadratic_discriminant_oracle():
 def test_align_and_extend():
     (u,) = ring("u")
     (v,) = ring("v")
-    pu, pv = align(u, v)
+    pu, pv = u.extended(("u", "v")), v.extended(("u", "v"))
     assert pu.variables == pv.variables == ("u", "v")
     u2, v2 = ring("u", "v")
     assert pu + pv == u2 + v2

@@ -38,9 +38,9 @@ def test_dual_parametrization_sample_points():
     dual = dual_parametrization(nodal_cubic_param(), nodal_cubic())
     assert dual.evaluate(Fraction(0)) == (-1, 0, 1)
     # t = 1/sqrt(3): affine point (-9/8, 3 sqrt3 / 8)
-    x, y = dual.affine_point(1 / math.sqrt(3))
-    assert abs(x + 9 / 8) < 1e-12
-    assert abs(y - 3 * math.sqrt(3) / 8) < 1e-12
+    X, Y, Z = dual.evaluate(1 / math.sqrt(3))
+    assert abs(X / Z + 9 / 8) < 1e-12
+    assert abs(Y / Z - 3 * math.sqrt(3) / 8) < 1e-12
 
 
 def test_dual_parametrization_validates_curve_membership():
@@ -74,8 +74,6 @@ def test_substituting_the_parametrization_into_c_gives_zero():
 def test_biquadratic_parts_and_theta():
     curve = cuspidal_quartic()
     A, B = biquadratic_parts(curve)
-    x, y = ring("x", "y")
-    ax = A.renamed({}).extended(("x",)) if False else A
     (x1,) = ring("x")
     assert A == 2 * x1 ** 2 + 9 * x1 + Fraction(27, 4)
     assert B == x1 ** 3 + x1 ** 4
@@ -125,6 +123,12 @@ def test_fiber_solve_at_minus_one():
 def test_fiber_simple_mode_rejects_critical_fibers():
     with pytest.raises(CurveError):
         fiber_solve(cuspidal_quartic(), -1.0, mode="simple")
+
+
+def test_fiber_solve_rejects_a_curve_that_is_not_biquadratic():
+    x, y = ring("x", "y")
+    with pytest.raises(CurveError):
+        fiber_solve(PlaneCurve(y ** 4 + y + x), 0.5)
 
 
 def test_real_fiber_classification_table():

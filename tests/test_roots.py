@@ -1,55 +1,13 @@
-import cmath
-import math
 import random
-from fractions import Fraction
 
 import pytest
 
-from cuspidal.certify import DegenerateContourError, count_zeros_in_square, winding_number_square
-from cuspidal.roots import ApproxRoot, RootFindingError, eval_poly, roots_univariate
-
-
-def test_biquadratic_with_zero_pair():
-    # y^4 + 27/4 y^2 = y^2 (y^2 + 27/4)
-    coeffs = [0, 0, 27 / 4, 0, 1]
-    roots = roots_univariate(coeffs, mode="cluster")
-    mults = sorted(r.multiplicity for r in roots)
-    assert mults == [1, 1, 2]
-    double = next(r for r in roots if r.multiplicity == 2)
-    assert double.value == 0
-    imag = sorted(r.value.imag for r in roots if r.multiplicity == 1)
-    target = 3 * math.sqrt(3) / 2
-    assert abs(imag[0] + target) < 1e-12 and abs(imag[1] - target) < 1e-12
-
-
-def test_fiber_at_minus_nine_eighths_double_pair():
-    # fiber quartic of the cuspidal quartic at x = -9/8: (y^2 - 27/64)^2
-    a = -27 / 32
-    coeffs = [(a / 2) ** 2, 0, a, 0, 1]
-    roots = roots_univariate(coeffs, mode="cluster")
-    assert sorted(r.multiplicity for r in roots) == [2, 2]
-    vals = sorted(r.value.real for r in roots)
-    target = 3 * math.sqrt(3) / 8
-    assert abs(vals[0] + target) < 1e-7 and abs(vals[1] - target) < 1e-7
-
-
-def test_fiber_at_minus_one():
-    # closed-form oracle: 2y^2 = -A +- sqrt(Theta), A(-1) = -1/4, Theta(-1) = 1/16
-    a_val = Fraction(2) - 9 + Fraction(27, 4)
-    theta = a_val * a_val  # B(-1) = 0
-    assert a_val == Fraction(-1, 4) and theta == Fraction(1, 16)
-    y_sq = [(-a_val + Fraction(1, 4)) / 2, (-a_val - Fraction(1, 4)) / 2]
-    assert sorted(y_sq) == [Fraction(0), Fraction(1, 4)]
-    coeffs = [0.0, 0.0, float(a_val), 0.0, 1.0]
-    roots = roots_univariate(coeffs, mode="cluster")
-    assert sorted(r.multiplicity for r in roots) == [1, 1, 2]
-    nonzero = sorted(r.value.real for r in roots if r.multiplicity == 1)
-    assert abs(nonzero[0] + 0.5) < 1e-12 and abs(nonzero[1] - 0.5) < 1e-12
+from cuspidal.roots import RootFindingError, roots_univariate
 
 
 def test_simple_mode_rejects_double_roots():
     with pytest.raises(RootFindingError):
-        roots_univariate([1, -2, 1], mode="simple")  # (y-1)^2
+        roots_univariate([1, -2, 1])  # (y-1)^2
 
 
 def test_leading_zero_rejected():
@@ -66,7 +24,7 @@ def test_random_polynomials_recover_their_roots():
             coeffs = [0j] + coeffs
             for i in range(len(coeffs) - 1):
                 coeffs[i] -= r * coeffs[i + 1]
-        got = roots_univariate(coeffs, mode="cluster")
+        got = roots_univariate(coeffs)
         assert sum(r.multiplicity for r in got) == len(true)
         for r in true:
             assert min(abs(r - g.value) for g in got) < 1e-7
@@ -76,42 +34,7 @@ def test_conjugation_symmetry_real_coefficients():
     rng = random.Random(9)
     for _ in range(10):
         coeffs = [rng.uniform(-3, 3) for _ in range(5)] + [1.0]
-        roots = roots_univariate(coeffs, mode="cluster")
+        roots = roots_univariate(coeffs)
         vals = [r.value for r in roots for _ in range(r.multiplicity)]
         for v in vals:
             assert min(abs(v.conjugate() - w) for w in vals) < 1e-8
-
-
-def test_certified_disks_contain_a_true_root():
-    # p = (y^2 + 9)(y - 1)(y - 2), roots 1, 2, +-3i
-    coeffs_exact = [Fraction(18), Fraction(-27), Fraction(11), Fraction(-3), Fraction(1)]
-    roots = roots_univariate([float(c) for c in coeffs_exact], mode="simple")
-    for r in roots:
-        center = (Fraction(r.value.real).limit_denominator(10**12),
-                  Fraction(r.value.imag).limit_denominator(10**12))
-        half = Fraction(max(r.radius, 1e-12)).limit_denominator(10**9) * 2 + Fraction(1, 10**9)
-        assert count_zeros_in_square(coeffs_exact, center, half) == 1
-
-
-def test_winding_number_exact_counts():
-    # p = y^2 + 1: roots at +-i
-    p = [Fraction(1), Fraction(0), Fraction(1)]
-    assert winding_number_square(p, (Fraction(0), Fraction(1)), Fraction(1, 2)) == 1
-    assert winding_number_square(p, (Fraction(0), Fraction(0)), Fraction(2)) == 2
-    assert winding_number_square(p, (Fraction(5), Fraction(0)), Fraction(1)) == 0
-    # square centered at a root is degenerate only if the boundary hits it
-    with pytest.raises(DegenerateContourError):
-        winding_number_square([Fraction(0), Fraction(1)], (Fraction(1), Fraction(0)), Fraction(1))
-
-
-def test_winding_counts_multiplicity():
-    # (y - 1/2)^3
-    p = [Fraction(-1, 8), Fraction(3, 4), Fraction(-3, 2), Fraction(1)]
-    assert winding_number_square(p, (Fraction(1, 2), Fraction(0)), Fraction(1, 3)) == 3
-
-
-def test_gaussian_coefficients():
-    # p = y - (1 + i): one zero at 1+i
-    p = [(Fraction(-1), Fraction(-1)), (Fraction(1), Fraction(0))]
-    assert winding_number_square(p, (Fraction(1), Fraction(1)), Fraction(1, 4)) == 1
-    assert winding_number_square(p, (Fraction(-1), Fraction(1)), Fraction(1, 4)) == 0

@@ -7,23 +7,56 @@ from cuspidal.bidouble import StructureError
 from cuspidal.linalg import rank
 from cuspidal.mpoly import MPoly, ring
 from cuspidal.surface import (
-    VERONESE, ConicForm, QuadricForm, adjugate, cone_vertex_check,
-    conormal_sections, conormal_zero_property, developable_map_checks,
-    dual_conic_of_gamma_tilde, dual_meets_veronese_transversally,
-    express_p_in_quadrics, gamma_tilde, gamma_tilde_is_the_vertex_map,
-    gauss_rank_at, gradient_vanishing_on_cuspidal_curve, net_determinant_conic,
+    L_VARS, T_VARS, VERONESE, X_VARS, _conic_matrix, adjugate,
+    cone_vertex_check, conormal_zero_property,
+    developable_map_checks, dual_meets_veronese_transversally,
+    express_p_in_quadrics, gamma_tilde, gauss_rank_at,
+    gradient_vanishing_on_cuspidal_curve, net_determinant_conic, net_matrix,
     p_in_x_coordinates, pinch_discriminant, pinch_roots_are_simple,
-    proportional_matrices, quadrics_through_twisted_cubic,
-    quadrics_vanish_on_cubic, random_symmetric_matrix, tangency_condition,
+    quadrics_through_twisted_cubic, random_symmetric_matrix,
     tangency_matches_pinch_symbolically, tangent_point,
     tangent_surface_identity, twisted_cubic, unique_conic_through,
     unique_quartic_check, v3_point, veronese_bidouble_model_check,
-    worked_pinch_determinant,
 )
 
 
+def proportional_matrices(m1, m2):
+    flat1 = [e for row in m1 for e in row]
+    flat2 = [e for row in m2 for e in row]
+    pivot = next((k for k, e in enumerate(flat2) if e != 0), None)
+    if pivot is None:
+        return all(e == 0 for e in flat1)
+    if flat1[pivot] == 0:
+        return False
+    c = flat1[pivot] / flat2[pivot]
+    return all(a == c * b for a, b in zip(flat1, flat2))
+
+
+def tangency_condition(f, t):
+    """Discriminant of the conic C_F restricted to the line dual to
+    gamma-tilde(t); zero iff the conic is tangent there."""
+    m = _conic_matrix(f)
+    lam = gamma_tilde(t)
+    pivot = max(range(3), key=lambda i: abs(lam[i]))
+    others = [i for i in range(3) if i != pivot]
+    k1 = [Fraction(0)] * 3
+    k1[others[0]] = lam[pivot]
+    k1[pivot] = -lam[others[0]]
+    k2 = [Fraction(0)] * 3
+    k2[others[1]] = lam[pivot]
+    k2[pivot] = -lam[others[1]]
+
+    def pair(u, v):
+        return sum(m[i][j] * u[i] * v[j] for i in range(3) for j in range(3))
+
+    return pair(k1, k2) ** 2 - pair(k1, k1) * pair(k2, k2)
+
+
 def test_quadrics_vanish_on_cubic():
-    assert quadrics_vanish_on_cubic()
+    # every Q in the net pulls back to zero on v3
+    sub = dict(zip(X_VARS, twisted_cubic()))
+    for q in quadrics_through_twisted_cubic():
+        assert q.form().compose(sub, T_VARS).is_zero()
 
 
 def test_q1_point_values():
@@ -57,7 +90,15 @@ def test_determinant_values_on_axes():
 
 
 def test_gamma_tilde_vertex_family():
-    assert gamma_tilde_is_the_vertex_map()
+    # M(t0^2, t0 t1, t1^2) kills v3(t) identically
+    t0, t1 = ring(*T_VARS)
+    lam = dict(zip(L_VARS, (t0 * t0, t0 * t1, t1 * t1)))
+    comps = twisted_cubic()
+    for row in net_matrix():
+        acc = MPoly.zero(T_VARS)
+        for entry, comp in zip(row, comps):
+            acc = acc + entry.compose(lam, T_VARS) * comp
+        assert acc.is_zero()
     assert cone_vertex_check()
 
 
@@ -80,7 +121,7 @@ def test_p_expressed_in_quadrics():
     # P = 432 (Q1^2 - 4 Q0 Q2) in the verified coordinates
     expected = ((0, 0, -864), (0, 432, 0), (-864, 0, 0))
     assert conic.matrix == tuple(tuple(map(Fraction, r)) for r in expected)
-    assert proportional_matrices(conic.matrix, dual_conic_of_gamma_tilde().matrix)
+    assert proportional_matrices(conic.matrix, adjugate(VERONESE))
 
 
 def test_pinch_discriminant_vanishes_for_squares():
@@ -152,9 +193,23 @@ def test_tangency_matches_pinch():
 
 
 def test_worked_pinch_determinant_corrects_the_factor():
-    det, corrected = worked_pinch_determinant()
-    b0, b2, l00, l02, l22 = ring("b0", "b2", "l00", "l02", "l22")
+    # the 2x2 pinch matrix of the worked coordinates: cones at t = (1:0),
+    # (0:1), (1:1); at t1 = 0 the evaluated sections are (1, b0), (0, 0),
+    # (1, b2).  Its determinant is (b0 - b2)^2 (l00 l22 - l02^2/4); the
+    # printed form with l00^2 in the second factor does not match
+    vars_ = ("b0", "b2", "l00", "l02", "l22")
+    b0, b2, l00, l02, l22 = ring(*vars_)
+    a = (MPoly.constant(1, vars_), MPoly.zero(vars_), MPoly.constant(1, vars_))
+    b = (b0, MPoly.zero(vars_), b2)
+    lam = {(0, 0): l00, (0, 2): l02, (2, 2): l22}
+    m11 = m12 = m22 = MPoly.zero(vars_)
+    for (i, j), l in lam.items():
+        m11 = m11 + l * a[i] * a[j]
+        m12 = m12 + l * (a[i] * b[j] + a[j] * b[i]) * Fraction(1, 2)
+        m22 = m22 + l * b[i] * b[j]
+    det = m11 * m22 - m12 * m12
     assert det == (b0 - b2) ** 2 * (l00 * l22 - Fraction(1, 4) * l02 ** 2)
+    assert det != (b0 - b2) ** 2 * (l00 * l22 - 4 * l00 ** 2)
 
 
 def test_unique_conic_through_five_points():
