@@ -153,11 +153,14 @@ def cmd_fiber(args):
         except quartic.CurveError:
             pattern = "critical"
         results["pattern"] = pattern
-        # the exact pattern fixes how many distinct roots the fiber has
-        expected = {"TwoDoubleReal": 2, "critical": 3}.get(pattern, 4)
-        if len(roots) != expected:
-            count_ok = False
-            count.update(distinct_roots=len(roots), expected_distinct=expected)
+    # exact arithmetic fixes how many distinct roots the fiber has
+    expected = quartic.distinct_fiber_roots(curve, args.x)
+    if len(roots) != expected:
+        count_ok = False
+        count.update(distinct_roots=len(roots), expected_distinct=expected)
+    if any(r.overlaps(s) for i, r in enumerate(roots) for s in roots[i + 1:]):
+        count_ok = False
+        count.update(overlapping_disks=True)
     check_list.append(("root_count", count_ok, count))
     return _report("fiber", inputs, results, check_list)
 

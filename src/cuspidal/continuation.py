@@ -7,13 +7,21 @@ current minimum pairwise strand separation.  This is a heuristic, not a
 certificate: it does not exclude two strands crossing between samples.
 Rejected steps are halved, HALVING_BUDGET times at most, then the failure
 is reported loudly.
+
+A halving reuses what the failed attempt computed: the first half starts
+from the same positions, so it keeps their separation, and the second half
+ends at the same x, so it keeps that fiber.  The strands are corrected one
+at a time and the attempt stops at the first that fails; the strand that
+failed last is tried first, since a failing step usually fails again on its
+halves at the same strand.  Each strand's test depends only on its own
+position, so neither reuse nor order changes which steps are accepted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .roots import _certified_radius, _eval_error_bound, eval_poly, eval_poly_deriv
+from .roots import _certified_radius, _eval_error_bound, eval_poly
 
 HALVING_BUDGET = 40
 NEWTON_STEPS = 24  # Newton iterations per corrector run
@@ -62,14 +70,18 @@ def _newton_track(coeffs, z, sep):
     at the rounding floor: |p(z)| within the Horner error bound and an
     inclusion radius below sep/6.
     """
-    scale = max(1.0, abs(z))
+    tol = NEWTON_TOL * max(1.0, abs(z))
+    descending = coeffs[::-1]
     for _ in range(NEWTON_STEPS):
-        p, dp = eval_poly_deriv(coeffs, z)
+        p = dp = 0j  # Horner for p and p' together, as roots.eval_poly_deriv
+        for c in descending:
+            dp = dp * z + p
+            p = p * z + c
         if dp == 0:
             return False, z
         step = p / dp
         z = z - step
-        if abs(step) < NEWTON_TOL * scale:
+        if abs(step) < tol:
             return True, z
     at_floor = abs(eval_poly(coeffs, z)) <= _eval_error_bound(coeffs, z)
     return at_floor and _certified_radius(coeffs, z) < sep / 6.0, z
@@ -102,42 +114,50 @@ def continue_roots(fiber_coeffs, path, initial):
     lengths = [abs(b - a) for a, b in zip(path, path[1:])]
     total = sum(lengths) or 1.0
     paths = [StrandPath(k, [(0.0, positions[k])]) for k in range(n)]
+    order = list(range(n))  # correction order: the strand that failed last leads
 
+    def correct(coeffs, pos, sep):
+        """Corrected positions over the fiber coeffs, or None on a failure."""
+        new = [None] * n
+        bound = sep / 3.0
+        for i, k in enumerate(order):
+            z = pos[k]
+            conv, z2 = _newton_track(coeffs, z, sep)
+            if not conv or abs(z2 - z) >= bound:
+                if i:
+                    order.insert(0, order.pop(i))
+                return None
+            new[k] = z2
+        return new
+
+    sep = _min_pairwise(positions)
     done = 0.0
     for seg, (xa, xb) in enumerate(zip(path, path[1:])):
         if xa == xb:
             continue
-
-        def advance(x_from, x_to, pos, depth):
-            coeffs = fiber_coeffs(x_to)
-            sep = _min_pairwise(pos)
-            new = []
-            ok = True
-            for z in pos:
-                conv, z2 = _newton_track(coeffs, z, sep)
-                if not conv or abs(z2 - z) >= sep / 3.0:
-                    ok = False
-                    break
-                new.append(z2)
-            if ok:
-                return [(x_to, new)]
-            if depth >= HALVING_BUDGET:
-                raise ContinuationError(
-                    f"step from {x_from:.6g} to {x_to:.6g} kept failing after "
-                    f"{HALVING_BUDGET} halvings")
-            mid = (x_from + x_to) / 2
-            first = advance(x_from, mid, pos, depth + 1)
-            second = advance(mid, x_to, first[-1][1], depth + 1)
-            return first + second
-
-        accepted = advance(xa, xb, positions, 0)
         seg_len = lengths[seg]
-        for x_here, pos in accepted:
+        # pending halves, the next one last: (x at its end, fiber there, depth)
+        pending = [(xb, fiber_coeffs(xb), 0)]
+        x_here = xa
+        while pending:
+            x_to, coeffs, depth = pending[-1]
+            new = correct(coeffs, positions, sep)
+            if new is None:
+                if depth >= HALVING_BUDGET:
+                    raise ContinuationError(
+                        f"step from {x_here:.6g} to {x_to:.6g} kept failing after "
+                        f"{HALVING_BUDGET} halvings")
+                mid = (x_here + x_to) / 2
+                pending[-1] = (x_to, coeffs, depth + 1)
+                pending.append((mid, fiber_coeffs(mid), depth + 1))
+                continue
+            pending.pop()
+            x_here, positions = x_to, new
+            sep = _min_pairwise(positions)
             frac = abs(x_here - xa) / seg_len if seg_len else 1.0
             t = (done + frac * seg_len) / total
             for k in range(n):
-                paths[k].samples.append((t, pos[k]))
-        positions = accepted[-1][1]
+                paths[k].samples.append((t, positions[k]))
         done += seg_len
     for k in range(n):
         t_last, z_last = paths[k].samples[-1]

@@ -6,10 +6,13 @@ target counterclockwise, and come back.  They are emitted in the
 counterclockwise cyclic order of their departure directions: targets left
 of the basepoint farthest first, then targets to the right nearest first.
 
-The strand sweep orders the fiber by real part (ties and tangencies broken
-by rotating the fiber plane by multiples of pi/17) and emits one signed
-Artin letter per transversal exchange of neighbors; a counterclockwise
-exchange, the strand coming from the right passing above, is positive.
+The strand sweep orders the fiber by real part and emits one signed Artin
+letter per transversal exchange of neighbors; a counterclockwise exchange,
+the strand coming from the right passing above, is positive.  Ties and
+tangencies are broken by rotating the fiber plane by k pi/17, and all the
+factors of one factorization are read at one rotation: the basepoint fiber
+is ordered by real part in that frame, so factors read in different frames
+need not multiply to one factorization.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ class MonodromyResult:
     shear: Fraction
     strand_names: list
     start_roots: list
+    sweep_rotation: int  # every factor is read in the fiber plane rotated by k pi/17
     strand_paths: list = field(default_factory=list)
 
     def exponent_sums(self):
@@ -146,47 +150,45 @@ def _decompose_adjacent_swaps(order, new_order):
     return swaps
 
 
-def _sweep(paths, rotation):
-    n = len(paths)
-    m = len(paths[0].samples)
-    scale = max(abs(z) for p in paths for _, z in p.samples) or 1.0
-    tol = 1e-11 * scale
-
-    def positions(step):
-        return [rotation * paths[k].samples[step][1] for k in range(n)]
-
-    def sort_order(pos):
-        return sorted(range(n), key=lambda k: (pos[k].real, pos[k].imag))
-
-    prev = positions(0)
-    order = sort_order(prev)
+def _sweep(strands, rotation, tol):
+    """Signed Artin letters of the strands (position lists at common samples)
+    swept by real part in the fiber plane multiplied by rotation."""
+    n = len(strands)
+    steps = zip(*(map(rotation.__mul__, s) for s in strands))
+    prev = next(steps)
+    order = sorted(range(n), key=lambda k: (prev[k].real, prev[k].imag))
+    neighbors = list(zip(order, order[1:]))
     letters = []
-    for step in range(1, m):
-        cur = positions(step)
-        new_order = sort_order(cur)
-        if new_order != order:
-            for i in _decompose_adjacent_swaps(order, new_order):
-                a, b = order[i], order[i + 1]  # b on the right before the swap
-                f0 = prev[b].real - prev[a].real
-                f1 = cur[b].real - cur[a].real
-                if f0 <= 0 or f1 >= 0:
-                    raise _Ambiguous("non-transversal crossing")
-                t = f0 / (f0 - f1)
-                g = (1 - t) * (prev[b].imag - prev[a].imag) + t * (cur[b].imag - cur[a].imag)
-                if abs(g) < tol:
-                    raise _Ambiguous("crossing too close to a true collision")
-                letters.append((i + 1) if g > 0 else -(i + 1))
-            order = new_order
+    for cur in steps:
+        # strictly increasing real parts along the old order: sorting keeps it
+        if not all(cur[a].real < cur[b].real for a, b in neighbors):
+            keys = [(z.real, z.imag) for z in cur]
+            new_order = sorted(range(n), key=keys.__getitem__)
+            if new_order != order:
+                for i in _decompose_adjacent_swaps(order, new_order):
+                    a, b = order[i], order[i + 1]  # b on the right before the swap
+                    f0 = prev[b].real - prev[a].real
+                    f1 = cur[b].real - cur[a].real
+                    if f0 <= 0 or f1 >= 0:
+                        raise _Ambiguous("non-transversal crossing")
+                    t = f0 / (f0 - f1)
+                    g = (1 - t) * (prev[b].imag - prev[a].imag) + t * (cur[b].imag - cur[a].imag)
+                    if abs(g) < tol:
+                        raise _Ambiguous("crossing too close to a true collision")
+                    letters.append((i + 1) if g > 0 else -(i + 1))
+                order = new_order
+                neighbors = list(zip(order, order[1:]))
         prev = cur
     return letters
 
 
-def braid_from_strand_paths(paths):
+def braid_from_strand_paths(paths, first_rotation=0):
     """Sweep a family of sampled strand paths into a braid word.
 
-    The fiber plane is rotated by k pi/17 until every crossing is a clean
-    transversal exchange of neighbors; ambiguity after the retry budget is
-    a hard error.
+    The fiber plane is rotated by k pi/17 for k = first_rotation,
+    first_rotation + 1, ... until every crossing is a clean transversal
+    exchange of neighbors.  Returns the word and that k; ambiguity up to
+    k = MAX_ROTATIONS is a hard error.
     """
     n = len(paths)
     if n < 2:
@@ -195,15 +197,29 @@ def braid_from_strand_paths(paths):
     for p in paths[1:]:
         if [t for t, _ in p.samples] != times:
             raise SweepError("strand paths are not sampled at common parameters")
+    strands = [[z for _, z in p.samples] for p in paths]
+    tol = 1e-11 * (max(abs(z) for s in strands for z in s) or 1.0)
     last = None
-    for attempt in range(MAX_ROTATIONS + 1):
-        rotation = cmath.exp(1j * math.pi * attempt / 17)
+    for k in range(first_rotation, MAX_ROTATIONS + 1):
         try:
-            letters = _sweep(paths, rotation)
-            return BraidWord(n, free_reduce(tuple(letters)))
+            letters = _sweep(strands, cmath.exp(1j * math.pi * k / 17), tol)
+            return BraidWord(n, free_reduce(tuple(letters))), k
         except _Ambiguous as exc:
             last = exc
     raise SweepError(f"sweep stayed ambiguous after {MAX_ROTATIONS} rotations: {last}")
+
+
+def _one_frame(families):
+    """(words, k): every family of strand paths read at the first rotation
+    k pi/17 at which all of them sweep cleanly."""
+    k, words = 0, {}
+    while len(words) < len(families):
+        i = next(j for j in range(len(families)) if j not in words)
+        word, clean = braid_from_strand_paths(families[i], k)
+        if clean != k:  # rotations k .. clean - 1 are ambiguous for family i
+            k, words = clean, {}
+        words[i] = word
+    return [words[i] for i in range(len(families))], k
 
 
 def fiber_evaluator(sheared, center):
@@ -282,7 +298,8 @@ def monodromy_factorization(curve=None, basepoint=None, shear=DEFAULT_SHEAR,
     Factors appear in the counterclockwise cyclic order starting with the
     loops farthest to the left of the basepoint; for the 3-cuspidal quartic
     with a small shear that is the two split cusp values near -9/8, then
-    the tangency near -1, then the origin cusp.
+    the tangency near -1, then the origin cusp.  All factors are read in one
+    sweep frame, the fiber plane rotated by sweep_rotation * pi/17.
     """
     curve = curve or cuspidal_quartic()
     basepoint = default_basepoint() if basepoint is None else float(basepoint)
@@ -292,21 +309,20 @@ def monodromy_factorization(curve=None, basepoint=None, shear=DEFAULT_SHEAR,
     sheared = sheared_curve(curve, shear)
     start_roots = _start_roots(sheared, basepoint)
     names = _strand_names(curve, basepoint, start_roots)
-    factors = []
-    all_paths = []
+    families = []
     for loop in loops:
         others = [l.target for l in loops if l is not loop]
         check_clearance(loop.waypoints, others, 0.9 * min(radius, 1.0))
         fiber = fiber_evaluator(sheared, loop.target.real)
         paths = continue_roots(fiber, loop.waypoints, initial=start_roots)
         end_permutation(paths, start_roots)  # loudly validates the loop closed
-        factors.append(braid_from_strand_paths(paths))
-        if keep_paths:
-            all_paths.append(paths)
+        families.append(paths)
+    factors, rotation = _one_frame(families)
     return MonodromyResult(
         n_strands=len(start_roots), factors=factors, loops=loops,
         basepoint=basepoint, shear=shear, strand_names=names,
-        start_roots=start_roots, strand_paths=all_paths)
+        start_roots=start_roots, sweep_rotation=rotation,
+        strand_paths=families if keep_paths else [])
 
 
 def strand_paths_svg(paths):

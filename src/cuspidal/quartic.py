@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -200,22 +201,32 @@ def fiber_solve(curve, x0, mode="cluster"):
     merged with their multiplicity; mode "simple" raises CurveError on a
     multiple root.
 
+    The z-roots of z^2 + A z + B come without cancellation: Theta is
+    evaluated from its own expansion (A^2 - 4B cancels to rounding noise
+    at large |x|), the larger root takes -A and -sqrt(Theta) in one half
+    plane, and the smaller is B over the larger.  Radii scale with the size
+    of the roots, not of the coefficients.
+
     Raises CurveError for a curve whose fiber is not biquadratic, and
-    OverflowError when the closed form leaves double precision."""
+    OverflowError when the roots or the fiber's terms at them leave double
+    precision."""
     A, B = biquadratic_parts(curve)
-    a = complex(A.evaluate({"x": complex(x0)}))
-    b = complex(B.evaluate({"x": complex(x0)}))
-    disc = a * a - 4 * b
-    sq = cmath.sqrt(disc)
+    x = complex(x0)
+    a = complex(A.evaluate({"x": x}))
+    b = complex(B.evaluate({"x": x}))
+    sq = cmath.sqrt(complex(theta(curve).evaluate({"x": x})))
+    if (a.conjugate() * sq).real < 0:
+        sq = -sq
+    big = (-a - sq) / 2
     coeffs = [b, 0, a, 0, 1]
     values = []
-    for zsq in ((-a + sq) / 2, (-a - sq) / 2):
+    for zsq in (big, b / big if big else 0j):
         root = cmath.sqrt(zsq)
         values.extend([root, -root])
-    if not all(cmath.isfinite(v) for v in values):
-        raise OverflowError(f"fiber roots over x = {x0} overflow double precision")
-    scale = max(1.0, abs(a), abs(b))
     size = max(1.0, abs(a) ** 0.5, abs(b) ** 0.25)  # the roots' order of magnitude
+    # the fiber's terms at its roots are of order size^4
+    if not all(cmath.isfinite(v) for v in values) or size > sys.float_info.max ** 0.25 / 2:
+        raise OverflowError(f"fiber roots over x = {x0} overflow double precision")
     merged = []
     for v in values:
         for m in merged:
@@ -229,13 +240,34 @@ def fiber_solve(curve, x0, mode="cluster"):
     out = []
     for v, mult in merged:
         p, dp = eval_poly_deriv(coeffs, v)
-        if mult == 1 and abs(dp) > 1e-9 * scale:
-            radius = 4 * abs(p) / abs(dp) + 1e-15 * scale
+        if mult == 1 and abs(dp) > 1e-9 * size ** 3:
+            radius = 4 * abs(p) / abs(dp) + 1e-15 * size
         else:
-            radius = 1e-12 * scale  # closed form is accurate to rounding error
+            radius = 1e-12 * size  # closed form is accurate to rounding error
         out.append(ApproxRoot(v, radius, mult))
     out.sort(key=lambda r: (r.value.real, r.value.imag))
     return out
+
+
+def distinct_fiber_roots(curve, x0):
+    """Number of distinct fiber roots over x0, decided exactly over Q(i).
+
+    With y^2 = z and z^2 + A z + B = 0 the z-roots coincide iff Theta(x0)
+    = 0, and z = 0 is a root iff B(x0) = 0; each double z-root doubles its
+    y-roots, and z = 0 gives the single y-root 0."""
+    A, B = biquadratic_parts(curve)
+    x = complex(x0)
+    re, im = Fraction(x.real), Fraction(x.imag)
+
+    def vanishes(poly):
+        acc_re = acc_im = Fraction(0)
+        for c in reversed(poly.univariate_coeffs("x")):
+            acc_re, acc_im = acc_re * re - acc_im * im + c, acc_re * im + acc_im * re
+        return acc_re == 0 and acc_im == 0
+
+    double, zero = vanishes(theta(curve)), vanishes(B)
+    return {(False, False): 4, (True, False): 2, (False, True): 3, (True, True): 1}[
+        (double, zero)]
 
 
 def classify_real_fiber(curve, x0):

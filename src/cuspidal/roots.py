@@ -98,12 +98,21 @@ def _aberth(coeffs):
 
 
 def _eval_error_bound(coeffs, z):
-    """First-order bound on the Horner evaluation error of p at z."""
+    """First-order bound on the Horner evaluation error of p at z.
+
+    The relative rounding term is 4 n eps sum |c_i| |z|^i.  Gradual
+    underflow adds an absolute error of at most 2^-1075 per product, below
+    2 * 2^-1074 per complex Horner step; 4 * 2^-1074 per step is carried
+    through the later steps like a coefficient.  It only shows where the
+    relative term is itself near the underflow range.
+    """
     az = abs(z)
     s = 0.0
+    under = 0.0
     for c in reversed(coeffs):
         s = s * az + abs(c)
-    return 4.0 * len(coeffs) * 2.220446049250313e-16 * s
+        under = under * az + 4 * 5e-324
+    return 4.0 * len(coeffs) * 2.220446049250313e-16 * s + under
 
 
 def _certified_radius(coeffs, z):

@@ -1,12 +1,17 @@
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspidal.continuation import (
-    ClearanceError, ContinuationError, _newton_track, check_clearance,
-    continue_roots, end_permutation,
+    HALVING_BUDGET, ClearanceError, ContinuationError, StrandPath, _min_pairwise,
+    _newton_track, check_clearance, continue_roots, end_permutation,
 )
+from cuspidal.monodromy import _start_roots, build_loops, fiber_evaluator
+from cuspidal.quartic import critical_values, cuspidal_quartic, sheared_curve
 from cuspidal.roots import roots_univariate
 
 
@@ -116,3 +121,78 @@ def test_newton_track_rejects_an_unresolved_cluster():
     w, d = 0.7123 + 0.3071j, 1e-10
     coeffs = _from_roots([w + d, w - d, -1.3 + 0.2j, 0.4 - 1.1j])
     assert not _newton_track(coeffs, w + 1.01 * d, 2 * d)[0]
+
+
+def reference_continue_roots(fiber_coeffs, path, initial):
+    """The plain halving tracker: every attempt evaluates its fiber and
+    separation afresh and tries the strands in index order."""
+    positions = [complex(r.value) for r in initial]
+    n = len(positions)
+    lengths = [abs(b - a) for a, b in zip(path, path[1:])]
+    total = sum(lengths) or 1.0
+    paths = [StrandPath(k, [(0.0, positions[k])]) for k in range(n)]
+
+    def advance(x_from, x_to, pos, depth):
+        coeffs = fiber_coeffs(x_to)
+        sep = _min_pairwise(pos)
+        new = []
+        for z in pos:
+            conv, z2 = _newton_track(coeffs, z, sep)
+            if not conv or abs(z2 - z) >= sep / 3.0:
+                break
+            new.append(z2)
+        else:
+            return [(x_to, new)]
+        if depth >= HALVING_BUDGET:
+            raise ContinuationError("halving budget exhausted")
+        mid = (x_from + x_to) / 2
+        first = advance(x_from, mid, pos, depth + 1)
+        return first + advance(mid, x_to, first[-1][1], depth + 1)
+
+    done = 0.0
+    for seg, (xa, xb) in enumerate(zip(path, path[1:])):
+        if xa == xb:
+            continue
+        accepted = advance(xa, xb, positions, 0)
+        for x_here, pos in accepted:
+            t = (done + abs(x_here - xa) / lengths[seg] * lengths[seg]) / total
+            for k in range(n):
+                paths[k].samples.append((t, pos[k]))
+        positions = accepted[-1][1]
+        done += lengths[seg]
+    for k in range(n):
+        if paths[k].samples[-1][0] != 1.0:
+            paths[k].samples.append((1.0, paths[k].samples[-1][1]))
+    return paths
+
+
+def _assert_same_samples(fiber, path, initial):
+    got = continue_roots(fiber, path, initial)
+    want = reference_continue_roots(fiber, path, initial)
+    assert [p.samples for p in got] == [p.samples for p in want]
+    return got
+
+
+def test_split_cusp_walk_matches_the_halving_reference():
+    shear, basepoint = Fraction(1, 679), 0.34010940278577345
+    sheared = sheared_curve(cuspidal_quartic(), shear)
+    loops, _ = build_loops(critical_values(cuspidal_quartic(), shear), basepoint)
+    split = loops[0]  # the split cusp farthest left, past the two others
+    paths = _assert_same_samples(fiber_evaluator(sheared, split.target.real),
+                                 split.waypoints, _start_roots(sheared, basepoint))
+    assert len(paths[0].samples) > 1000
+
+
+def test_halving_heavy_circle_matches_the_halving_reference():
+    start = roots_univariate(fiber_c(-0.5))
+    loop = circle(0.0, 0.5, start_angle=math.pi, steps=3)
+    paths = _assert_same_samples(fiber_c, loop, start)
+    assert len(paths[0].samples) > 10 * len(loop)
+
+
+@settings(max_examples=8, deadline=None)
+@given(basepoint=st.floats(0.05, 0.95), steps=st.integers(4, 16))
+def test_origin_loops_match_the_halving_reference(basepoint, steps):
+    start = roots_univariate(fiber_c(basepoint))
+    loop = circle(0.0, basepoint, steps=steps)
+    _assert_same_samples(fiber_c, loop, start)

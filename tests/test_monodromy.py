@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspidal.braids import (
@@ -38,7 +38,7 @@ def _synthetic_paths(fn_list, steps=64):
 
 def test_sweep_constant_paths_is_empty():
     paths = _synthetic_paths([lambda t: -1 + 0j, lambda t: 1 + 0j])
-    assert braid_from_strand_paths(paths).letters == ()
+    assert braid_from_strand_paths(paths)[0].letters == ()
 
 
 def test_sweep_counterclockwise_halfturn_is_positive_generator():
@@ -46,7 +46,7 @@ def test_sweep_counterclockwise_halfturn_is_positive_generator():
         lambda t: -cmath.exp(1j * math.pi * t),
         lambda t: cmath.exp(1j * math.pi * t),
     ])
-    assert braid_from_strand_paths(paths).letters == (1,)
+    assert braid_from_strand_paths(paths)[0].letters == (1,)
 
 
 def test_sweep_clockwise_halfturn_is_negative_generator():
@@ -54,7 +54,7 @@ def test_sweep_clockwise_halfturn_is_negative_generator():
         lambda t: -cmath.exp(-1j * math.pi * t),
         lambda t: cmath.exp(-1j * math.pi * t),
     ])
-    assert braid_from_strand_paths(paths).letters == (-1,)
+    assert braid_from_strand_paths(paths)[0].letters == (-1,)
 
 
 def test_sweep_full_twist():
@@ -62,7 +62,7 @@ def test_sweep_full_twist():
         lambda t: -cmath.exp(1j * 2 * math.pi * t),
         lambda t: cmath.exp(1j * 2 * math.pi * t),
     ], steps=128)
-    assert braid_from_strand_paths(paths).letters == (1, 1)
+    assert braid_from_strand_paths(paths)[0].letters == (1, 1)
 
 
 def test_loop_order_and_multiplicities():
@@ -132,7 +132,7 @@ def connecting_braid(curve, from_basepoint, via):
     sheared = sheared_curve(curve, DEFAULT_SHEAR)
     paths = continue_roots(fiber_evaluator(sheared, from_basepoint), via,
                            initial=_start_roots(sheared, from_basepoint))
-    return braid_from_strand_paths(paths)
+    return braid_from_strand_paths(paths)[0]
 
 
 def test_basepoint_drag_conjugates_each_factor():
@@ -168,6 +168,10 @@ def _exact_complex_value(coeffs, re, im):
 @given(shear=st.fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=2000),
        center=st.floats(-2.0, 1.0), dx=st.floats(-1.0, 1.0),
        im=st.floats(-0.5, 0.5))
+# the evaluation error is 2^-1074 from gradual underflow, while the
+# relative error term of the bound underflows to 0
+@example(shear=Fraction(1, 2), center=0.0, dx=1.2725128187230536e-158,
+         im=1.2725128187230536e-158)
 def test_fiber_evaluator_matches_exact_evaluation(shear, center, dx, im):
     re = center + dx
     sheared = sheared_curve(cuspidal_quartic(), shear)
@@ -204,6 +208,40 @@ def test_words_near_the_split_cusps_are_stable(shear, basepoint, steps):
                                      circle_steps=steps)
     assert [list(f.letters) for f in result.factors] == [
         [3, 1, 3, 1, 1, -3, -3], [3, 3, 3], [2], [2, 1, 3, 2, 2, 2, -1, -3, -2]]
+
+
+def _assert_one_sweep_frame(result):
+    """Every factor is the word of its loop read at result.sweep_rotation,
+    and no smaller rotation reads every loop cleanly."""
+    k = result.sweep_rotation
+    for factor, paths in zip(result.factors, result.strand_paths, strict=True):
+        assert braid_from_strand_paths(paths, k) == (factor, k)
+    for j in range(k):
+        assert any(braid_from_strand_paths(paths, j)[1] != j
+                   for paths in result.strand_paths)
+
+
+def test_default_factorization_is_read_in_one_sweep_frame():
+    result = factorization()
+    assert result.sweep_rotation == 1
+    _assert_one_sweep_frame(result)
+
+
+# At shear 1/10 the loop around the origin cusp sweeps cleanly at rotation
+# 0, the others only at pi/17; the basepoint fiber has a conjugate pair,
+# which the two frames order differently, so factors read each in their own
+# frame do not multiply to a factorization.
+def test_mixed_frame_input_is_read_in_one_frame():
+    result = monodromy_factorization(basepoint=-50 / 101, shear=Fraction(1, 10),
+                                     circle_steps=64, keep_paths=True)
+    _assert_one_sweep_frame(result)
+    assert braid_from_strand_paths(result.strand_paths[3])[1] == 0
+    assert [list(f.letters) for f in result.factors] == [
+        [3, 1, 1, 1, -3], [3, 3, 3], [-3, 2, 3], [1, 2, 2, 2, -1]]
+    perms = [permutation_image(f) for f in result.factors]
+    assert all(is_transposition(p) for p in perms)
+    prod = compose_permutations(perms, 4)
+    assert all(prod[i] != i and prod[prod[i]] == i for i in range(4))
 
 
 def test_smallest_shear_completes():

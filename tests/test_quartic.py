@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,33 @@ def test_fiber_solve_at_minus_one():
     assert sorted(r.multiplicity for r in roots) == [1, 1, 2]
     nonzero = sorted(r.value.real for r in roots if r.multiplicity == 1)
     assert abs(nonzero[0] + 0.5) < 1e-12 and abs(nonzero[1] - 0.5) < 1e-12
+
+
+def test_fiber_solve_small_pair_near_a_zero_of_b():
+    # B(1e-8) ~ 1e-24 against A ~ 27/4: -A + sqrt(Theta) cancels completely,
+    # B over the larger z-root does not
+    x = 1e-8
+    roots = fiber_solve(cuspidal_quartic(), x)
+    small = min(roots, key=lambda r: abs(r.value))
+    expected = math.sqrt((x ** 4 + x ** 3) / (2 * x * x + 9 * x + 27 / 4))
+    assert abs(abs(small.value) - expected) < 1e-9 * expected
+
+
+@pytest.mark.parametrize("x", [10 ** 10, 10 ** 15])
+def test_fiber_solve_far_out_matches_a_50_digit_closed_form(x):
+    # Theta ~ 32 x^3 sits far below the rounding of A^2 ~ 4 x^4; all four
+    # roots are imaginary, y = +-i sqrt(-z) with z = (-A +- sqrt(Theta)) / 2
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(2 * x * x + 9 * x) + Decimal(27) / 4
+        th = (32 * Decimal(x) + 108) * x * x + Decimal(243) / 2 * x + Decimal(729) / 16
+        exact = sorted(float(s * ((a + t * th.sqrt()) / 2).sqrt())
+                       for s in (1, -1) for t in (1, -1))
+    roots = fiber_solve(cuspidal_quartic(), float(x))
+    assert [r.multiplicity for r in roots] == [1, 1, 1, 1]
+    for r, y in zip(sorted(roots, key=lambda r: r.value.imag), exact):
+        assert r.value.real == 0 and abs(r.value.imag - y) < 1e-14 * abs(y)
+        assert abs(r.value.imag - y) <= r.radius < 1e-6 * abs(y)
 
 
 def test_fiber_simple_mode_rejects_critical_fibers():

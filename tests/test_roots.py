@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cuspidal.roots import RootFindingError, roots_univariate
+from cuspidal.roots import RootFindingError, _eval_error_bound, roots_univariate
 
 
 def test_simple_mode_rejects_double_roots():
@@ -38,3 +38,15 @@ def test_conjugation_symmetry_real_coefficients():
         vals = [r.value for r in roots for _ in range(r.multiplicity)]
         for v in vals:
             assert min(abs(v.conjugate() - w) for w in vals) < 1e-8
+
+
+def test_eval_error_bound_of_normal_size_is_the_relative_term():
+    rng = random.Random(5)
+    for _ in range(200):
+        coeffs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10.0 ** rng.randint(-20, 20)
+                  for _ in range(rng.randrange(1, 8))]
+        z = complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10.0 ** rng.uniform(-5, 5)
+        s = 0.0
+        for c in reversed(coeffs):
+            s = s * abs(z) + abs(c)
+        assert _eval_error_bound(coeffs, z) == 4.0 * len(coeffs) * 2.220446049250313e-16 * s
