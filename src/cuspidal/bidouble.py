@@ -192,13 +192,10 @@ def mat_scale_identity(c, vars_):
     return [[c if i == j else zero for j in range(4)] for i in range(4)]
 
 
-def different(cover=None):
+def different():
     """Ramification determinant det [[2z, -a], [-b, 2w]] = 4zw - ab."""
-    cover = cover or CoverData.generic()
     u, v, a, b, z, w = ring(*COVER_VARS)
-    av = cover.a.extended(COVER_VARS)
-    bv = cover.b.extended(COVER_VARS)
-    return determinant([[2 * z, -av], [-bv, 2 * w]])
+    return determinant([[2 * z, -a], [-b, 2 * w]])
 
 
 def discriminant_norm():

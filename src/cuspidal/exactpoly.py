@@ -1,7 +1,7 @@
 """Exact univariate polynomials over Q: Euclid, Sturm chains, root isolation.
 
-Signs, Sturm chains and bisection run on integer polynomials (see the
-integer-sign section below); the isolating intervals are the Sturm ones.
+Signs, gcds, Sturm chains and bisection run on integer polynomials (see
+the integer-sign section below); the isolating intervals are the Sturm ones.
 
 A polynomial is a list of Fractions, ascending degree, normalized so the
 last entry is nonzero (the zero polynomial is the empty list).
@@ -96,12 +96,12 @@ def monic(p):
 
 
 def gcd(p, q):
-    """Monic gcd over Q."""
-    a, b = trim(p), trim(q)
+    """Monic gcd over Q, by a primitive pseudo-remainder sequence on the
+    integer forms (see the integer-sign section below)."""
+    a, b = _integer_form(trim(p)), _integer_form(trim(q))
     while b:
-        _, r = divmod_exact(a, b)
-        a, b = b, r
-    return monic(a)
+        a, b = b, _neg_prem(a, b)
+    return monic([Fraction(c) for c in a])
 
 
 def squarefree_part(p):

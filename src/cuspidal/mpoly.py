@@ -400,9 +400,32 @@ def _divide_exact(a, b):
     return MPoly(a.variables, q)
 
 
+def bareiss(m, divide):
+    """Determinant of the square matrix m (a list of row lists, overwritten)
+    by fraction-free Bareiss elimination; a zero pivot is replaced by a row
+    swap.  ``divide(a, b)`` is the entries' exact division: ``//`` on ints,
+    ``_divide_exact`` on MPoly."""
+    n = len(m)
+    negate = False
+    prev = None  # the previous pivot, which divides every update exactly
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return m[k][k]  # zero, in the entries' ring
+            m[k], m[swap] = m[swap], m[k]
+            negate = not negate
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                entry = m[i][j] * pivot - m[i][k] * m[k][j]
+                m[i][j] = entry if prev is None else divide(entry, prev)
+        prev = pivot
+    return -m[n - 1][n - 1] if negate else m[n - 1][n - 1]
+
+
 def determinant(rows):
-    """Exact determinant of a square MPoly matrix (fraction-free Bareiss
-    elimination; a zero pivot is replaced by a row swap)."""
+    """Exact determinant of a square MPoly matrix (Bareiss elimination)."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
@@ -413,28 +436,15 @@ def determinant(rows):
         for entry in r:
             if entry.variables != variables:
                 raise VariableMismatchError("matrix entries in different rings")
-
-    m = [list(r) for r in rows]
-    negate = False
-    prev = None  # the previous pivot, which divides every update exactly
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if swap is None:
-                return MPoly.zero(variables)
-            m[k], m[swap] = m[swap], m[k]
-            negate = not negate
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                entry = m[i][j] * pivot - m[i][k] * m[k][j]
-                m[i][j] = entry if prev is None else _divide_exact(entry, prev)
-        prev = pivot
-    return -m[n - 1][n - 1] if negate else m[n - 1][n - 1]
+    return bareiss([list(r) for r in rows], _divide_exact)
 
 
-def resultant(p, q, name):
-    """Sylvester resultant eliminating ``name``; p's coefficient rows on top."""
+def sylvester_matrix(p, q, name):
+    """Sylvester matrix of p and q in ``name``, entries MPoly over the other
+    variables: deg q rows of p's coefficients on top, then deg p rows of
+    q's, highest power first.  The degrees are the formal ones, so the
+    matrix evaluated at a point is the Sylvester matrix of the same
+    degrees even where a leading coefficient vanishes."""
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of a zero polynomial")
     pc = p.as_univariate(name)
@@ -442,21 +452,21 @@ def resultant(p, q, name):
     m, n = len(pc) - 1, len(qc) - 1
     if m < 1 or n < 1:
         raise ValueError(f"both operands need positive degree in {name!r}")
-    variables = pc[0].variables
-    zero = MPoly.zero(variables)
+    zero = MPoly.zero(pc[0].variables)
     size = m + n
     rows = []
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(pc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(qc)):
-            row[i + j] = c
-        rows.append(row)
-    return determinant(rows)
+    for coeffs, count in ((pc, n), (qc, m)):
+        for i in range(count):
+            row = [zero] * size
+            for j, c in enumerate(reversed(coeffs)):
+                row[i + j] = c
+            rows.append(row)
+    return rows
+
+
+def resultant(p, q, name):
+    """Sylvester resultant eliminating ``name``; p's coefficient rows on top."""
+    return determinant(sylvester_matrix(p, q, name))
 
 
 def homogeneous_sqrt(p, anchor):

@@ -12,12 +12,13 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactpoly as xp
-from .mpoly import MPoly, determinant, resultant, ring
+from .mpoly import MPoly, bareiss, determinant, resultant, ring, sylvester_matrix
 from .roots import ApproxRoot, eval_poly_deriv, roots_univariate
 
 PLANE_VARS = ("x", "y", "z")
@@ -201,9 +202,9 @@ def fiber_solve(curve, x0, mode="cluster"):
     merged with their multiplicity; mode "simple" raises CurveError on a
     multiple root.
 
-    The z-roots of z^2 + A z + B come without cancellation: Theta is
-    evaluated from its own expansion (A^2 - 4B cancels to rounding noise
-    at large |x|), the larger root takes -A and -sqrt(Theta) in one half
+    The z-roots of z^2 + A z + B come without cancellation: A(x0), B(x0)
+    and Theta(x0) are evaluated exactly over Q(i) at the float x0 and each
+    is rounded once, the larger root takes -A and -sqrt(Theta) in one half
     plane, and the smaller is B over the larger.  Radii scale with the size
     of the roots, not of the coefficients.
 
@@ -211,10 +212,13 @@ def fiber_solve(curve, x0, mode="cluster"):
     OverflowError when the roots or the fiber's terms at them leave double
     precision."""
     A, B = biquadratic_parts(curve)
-    x = complex(x0)
-    a = complex(A.evaluate({"x": x}))
-    b = complex(B.evaluate({"x": x}))
-    sq = cmath.sqrt(complex(theta(curve).evaluate({"x": x})))
+    try:
+        a, b, th = (complex(*map(float, _gaussian_value(p, x0)))
+                    for p in (A, B, theta(curve)))
+    except OverflowError:
+        raise OverflowError(
+            f"fiber roots over x = {x0} overflow double precision") from None
+    sq = cmath.sqrt(th)
     if (a.conjugate() * sq).real < 0:
         sq = -sq
     big = (-a - sq) / 2
@@ -249,23 +253,25 @@ def fiber_solve(curve, x0, mode="cluster"):
     return out
 
 
+def _gaussian_value(poly, x0):
+    """Exact (real, imaginary) parts of the polynomial in x at the complex
+    float x0, whose parts are dyadic rationals: Horner over Q(i)."""
+    x = complex(x0)
+    re, im = Fraction(x.real), Fraction(x.imag)
+    acc_re = acc_im = Fraction(0)
+    for c in reversed(poly.univariate_coeffs("x")):
+        acc_re, acc_im = acc_re * re - acc_im * im + c, acc_re * im + acc_im * re
+    return acc_re, acc_im
+
+
 def distinct_fiber_roots(curve, x0):
     """Number of distinct fiber roots over x0, decided exactly over Q(i).
 
     With y^2 = z and z^2 + A z + B = 0 the z-roots coincide iff Theta(x0)
     = 0, and z = 0 is a root iff B(x0) = 0; each double z-root doubles its
     y-roots, and z = 0 gives the single y-root 0."""
-    A, B = biquadratic_parts(curve)
-    x = complex(x0)
-    re, im = Fraction(x.real), Fraction(x.imag)
-
-    def vanishes(poly):
-        acc_re = acc_im = Fraction(0)
-        for c in reversed(poly.univariate_coeffs("x")):
-            acc_re, acc_im = acc_re * re - acc_im * im + c, acc_re * im + acc_im * re
-        return acc_re == 0 and acc_im == 0
-
-    double, zero = vanishes(theta(curve)), vanishes(B)
+    _, B = biquadratic_parts(curve)
+    double, zero = (_gaussian_value(p, x0) == (0, 0) for p in (theta(curve), B))
     return {(False, False): 4, (True, False): 2, (False, True): 3, (True, True): 1}[
         (double, zero)]
 
@@ -324,22 +330,76 @@ def sheared_curve(curve, shear):
 
 
 def discriminant_poly(curve):
-    """Disc_y as an exact univariate polynomial in x (primitive)."""
+    """Disc_y = Res_y(f, f_y) as an exact univariate polynomial in x,
+    normalized as ``MPoly.primitive()`` does: content 1, leading
+    coefficient positive.
+
+    Computed on integers by evaluation and interpolation: f is scaled to
+    integer coefficients, the Sylvester matrix (formal y-degrees) is
+    evaluated at D + 1 integer nodes, where D bounds the x-degree of its
+    determinant, each integer determinant is taken by Bareiss, and the
+    values are interpolated exactly (Collins 1967; Brown & Traub 1971)."""
     eq = curve.dehomogenized().equation
-    res = resultant(eq, eq.partial("y"), "y")
-    if res.is_zero():
+    matrix = sylvester_matrix(eq, eq.partial("y"), "y")
+    distinct = list(dict.fromkeys(e for row in matrix for e in row))
+    index = {e: i for i, e in enumerate(distinct)}
+    rows = [[index[e] for e in row] for row in matrix]
+    fracs = [xp.trim(e.univariate_coeffs("x")) for e in distinct]
+    den = math.lcm(*(c.denominator for cs in fracs for c in cs))
+    polys = [[int(c * den) for c in cs] for cs in fracs]
+    # deg entry(r, c) <= a_r + c with a_r = max_c (deg entry(r, c) - c), so
+    # every term of the determinant, and so the determinant, has x-degree
+    # at most sum a_r + sum c
+    bound = sum(max(len(polys[i]) - 1 - c for c, i in enumerate(row) if polys[i])
+                for row in rows) + sum(range(len(rows)))
+    nodes = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(bound + 1)]
+    values = []
+    for x in nodes:
+        at = [_horner(cs, x) for cs in polys]
+        values.append(bareiss([[at[i] for i in row] for row in rows], operator.floordiv))
+    coeffs = xp.trim(_interpolate(nodes, values))
+    if not coeffs:
         raise CurveError("discriminant vanished identically")
-    return res.primitive()
+    g = math.gcd(*(c.numerator for c in coeffs))
+    if coeffs[-1] < 0:
+        g = -g
+    return MPoly(("x",), {(i,): c / g for i, c in enumerate(coeffs) if c})
+
+
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _interpolate(nodes, values):
+    """Ascending coefficients of the polynomial of degree < len(nodes) taking
+    the integer values at the integer nodes, if it has integer coefficients:
+    then every divided difference is an integer, so the Newton form is
+    computed with exact integer division."""
+    c = list(values)
+    for k in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // (nodes[i] - nodes[i - k])
+    poly = [c[-1]]
+    for k in range(len(nodes) - 2, -1, -1):  # poly <- poly * (x - node_k) + c_k
+        poly = [0] + poly
+        for i in range(len(poly) - 1):
+            poly[i] -= nodes[k] * poly[i + 1]
+        poly[0] += c[k]
+    return poly
 
 
 def critical_values(curve, shear=Fraction(0)):
     """Critical values of the sheared projection, with multiplicities.
 
-    The exact discriminant is split by Yun's squarefree decomposition, so
-    rational critical values come out exactly with certified orders and
-    the remaining ones are simple roots of exact squarefree factors,
-    found numerically with tiny certificates.  Centers closer than 1e-6
-    are merged with summed order.
+    The exact discriminant (``discriminant_poly``, on integers) is split by
+    Yun's squarefree decomposition, whose gcds are integer pseudo-remainder
+    sequences, so rational critical values come out exactly with certified
+    orders and the remaining ones are simple roots of exact squarefree
+    factors, found numerically with tiny certificates.  Centers closer than
+    1e-6 are merged with summed order.
     """
     sheared = sheared_curve(curve, shear)
     disc = discriminant_poly(sheared)

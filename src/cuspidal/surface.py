@@ -589,12 +589,10 @@ def unique_conic_through(params):
     return len(kernel), kernel
 
 
-def unique_quartic_check(params=SAMPLE_PARAMS):
+def unique_quartic_check():
     """Five distinct cone points force the conic: dimension 1, spanned by
     the Veronese conic l0 l2 - l1^2."""
-    if len(params) != 5:
-        raise ValueError("need exactly five parameters")
-    dim, kernel = unique_conic_through(params)
+    dim, kernel = unique_conic_through(SAMPLE_PARAMS)
     if dim != 1:
         raise StructureError(f"conics through the five points form a {dim}-dim family")
     veronese = [Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(0), Fraction(0)]

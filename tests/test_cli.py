@@ -203,6 +203,7 @@ def test_fiber_overflow_is_a_structured_fail(capsys):
     [check] = json.loads(out)["checks"]
     assert check["name"] == "root_count" and not check["pass"]
     assert check["witness"]["exception"] == "OverflowError"
+    assert check["witness"]["message"].endswith("overflow double precision")
 
 
 def _strict_json(text):

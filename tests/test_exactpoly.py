@@ -1,4 +1,5 @@
-"""Root isolation on integer signs against a Fraction-Sturm oracle.
+"""Root isolation on integer signs against a Fraction-Sturm oracle, and the
+integer-PRS gcd against Fraction Euclid.
 
 The oracle below evaluates a Sturm chain built over Q at every bisection
 point, as the module did before its signs moved to integers; isolating
@@ -49,6 +50,14 @@ def _squarefree(p):
     while b:
         a, b = b, _divmod(a, b)[1]
     return _divmod(p, a)[0]
+
+
+def _oracle_gcd(p, q):
+    """Monic gcd by Euclid over Q."""
+    a, b = _trim(p), _trim(q)
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [c / a[-1] for c in a]
 
 
 def _oracle_chain(p):
@@ -178,3 +187,22 @@ def test_rational_roots_keep_each_candidate_in_its_interval():
 
 def test_rational_roots_of_a_linear_polynomial_leave_its_leading_coefficient():
     assert xp.rational_roots([Fraction(3), Fraction(2)]) == ([Fraction(-3, 2)], [Fraction(2)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials(), polynomials(), polynomials(), st.sampled_from([0, 1, 2]))
+def test_gcd_matches_fraction_euclid(shared, left, right, power):
+    # shared factors, repeated roots, and cofactors that may share more
+    g = _product(1, [shared[0]] * power)
+    p, q = xp.mul(g, left[0]), xp.mul(g, right[0])
+    got = xp.gcd(p, q)
+    assert got == _oracle_gcd(p, q)
+    assert all(type(c) is Fraction for c in got)
+    assert xp.divmod_exact(got, xp.monic(g))[1] == []
+
+
+@given(polynomials())
+def test_gcd_with_zero_is_the_monic_operand(case):
+    p, _ = case
+    assert xp.gcd(p, []) == xp.gcd([], p) == xp.monic(p)
+    assert xp.gcd([], []) == []

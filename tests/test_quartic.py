@@ -3,9 +3,11 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspidal import exactpoly as xp
-from cuspidal.mpoly import MPoly, ring
+from cuspidal.mpoly import MPoly, determinant, ring
 from cuspidal.quartic import (
     CurveError, FiberPattern, ParamCurve, PlaneCurve, biquadratic_parts,
     classify_real_fiber, critical_values, cuspidal_quartic, discriminant_poly,
@@ -131,6 +133,32 @@ def test_fiber_solve_small_pair_near_a_zero_of_b():
     assert abs(abs(small.value) - expected) < 1e-9 * expected
 
 
+@pytest.mark.parametrize("x0", [-0.999999, -1.0000001, -0.5, 0.3 + 0.2j])
+def test_fiber_disks_contain_the_60_digit_roots(x0):
+    # near x = -1, B = x^4 + x^3 cancels in floats; exact A, B and Theta at
+    # the float x0, each rounded once, keep the small pair at full accuracy
+    mpmath = pytest.importorskip("mpmath")
+    A, B = biquadratic_parts(cuspidal_quartic())
+    with mpmath.workdps(60):
+        x = mpmath.mpc(complex(x0))
+
+        def value(poly):
+            return mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator
+                                   for c in reversed(poly.univariate_coeffs("x"))], x)
+
+        exact = mpmath.polyroots([1, 0, value(A), 0, value(B)], maxsteps=200,
+                                 extraprec=200)
+        roots = fiber_solve(cuspidal_quartic(), x0)
+        assert [r.multiplicity for r in roots] == [1, 1, 1, 1]
+        for r in roots:
+            nearest = min(exact, key=lambda t: abs(t - mpmath.mpc(r.value)))
+            assert abs(nearest - mpmath.mpc(r.value)) <= r.radius
+            assert abs(nearest - mpmath.mpc(r.value)) < 1e-15 * abs(nearest)
+        matched = {min(range(4), key=lambda i: abs(exact[i] - mpmath.mpc(r.value)))
+                   for r in roots}
+        assert matched == {0, 1, 2, 3}
+
+
 @pytest.mark.parametrize("x", [10 ** 10, 10 ** 15])
 def test_fiber_solve_far_out_matches_a_50_digit_closed_form(x):
     # Theta ~ 32 x^3 sits far below the rounding of A^2 ~ 4 x^4; all four
@@ -197,6 +225,93 @@ def test_discriminant_factorization_oracle():
     A, B = biquadratic_parts(curve)
     oracle = (16 * B * theta(curve) ** 2).primitive()
     assert disc == oracle
+
+
+# -- Disc_y against a Sylvester/MPoly-Bareiss oracle ---------------------------
+
+def _oracle_discriminant(eq):
+    """Res_y(f, f_y) as the MPoly determinant of the Sylvester matrix of the
+    formal y-degrees, primitive; the zero polynomial when it vanishes."""
+    fc = eq.as_univariate("y")[::-1]
+    gc = eq.partial("y").as_univariate("y")[::-1]
+    m, n = len(fc) - 1, len(gc) - 1
+    zero = MPoly.zero(("x",))
+    rows = ([[zero] * i + fc + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + gc + [zero] * (m - 1 - i) for i in range(m)])
+    return determinant(rows).primitive()
+
+
+COEFFICIENTS = st.fractions(-3, 3, max_denominator=5)
+
+
+@st.composite
+def plane_curves(draw):
+    """f = sum_j c_j(x) y^j of y-degree 2 to 5: c_j of x-degree up to d - j
+    (up to d - j + 1 now and then), the leading coefficient
+    lead * (x - r)^e with r in -3..3, so at e > 0 it vanishes at a node;
+    sometimes f is a square times a factor, with Disc_y = 0."""
+    x, y = ring("x", "y")
+    d = draw(st.integers(2, 5))
+    f = draw(COEFFICIENTS.filter(bool)) * (x - draw(st.integers(-3, 3))) ** draw(
+        st.integers(0, 2)) * y ** d
+    for j in range(d):
+        top = d - j + draw(st.integers(-1, 1))
+        f = f + sum((draw(COEFFICIENTS) * x ** k for k in range(max(top, 0) + 1)),
+                    MPoly.zero(("x", "y"))) * y ** j
+    if draw(st.integers(0, 9)) == 0:
+        g = y + draw(COEFFICIENTS) * x + draw(COEFFICIENTS)
+        f = g * g * (y - draw(COEFFICIENTS))
+    return PlaneCurve(f)
+
+
+@settings(max_examples=50, deadline=None)
+@given(plane_curves())
+def test_discriminant_matches_the_sylvester_oracle(curve):
+    oracle = _oracle_discriminant(curve.equation)
+    if oracle.is_zero():
+        with pytest.raises(CurveError):
+            discriminant_poly(curve)
+    else:
+        disc = discriminant_poly(curve)
+        assert disc == oracle and disc.variables == ("x",)
+
+
+def test_discriminant_of_full_degree_equals_the_oracle():
+    # Disc_y of a curve of total degree d reaches the degree bound d(d - 1)
+    x, y = ring("x", "y")
+    curve = PlaneCurve(y ** 3 - 2 * x ** 3 + x * y ** 2 - 3 * x ** 2 * y + 1)
+    disc = discriminant_poly(curve)
+    assert disc.degree() == 6
+    assert disc == _oracle_discriminant(curve.equation)
+
+
+def test_discriminant_with_a_leading_coefficient_vanishing_at_nodes():
+    # the leading y-coefficient x(x - 1)(x + 1) vanishes at the first three
+    # nodes; the formal degree keeps each evaluated matrix a specialization
+    x, y = ring("x", "y")
+    curve = PlaneCurve((x ** 3 - x) * y ** 2 + Fraction(1, 2) * y - x ** 2 + 3)
+    assert discriminant_poly(curve) == _oracle_discriminant(curve.equation)
+    # Res_y(a y^2 + b y + c, 2a y + b) = a (4ac - b^2)
+    (X,) = ring("x")
+    a = X ** 3 - X
+    assert discriminant_poly(curve) == (a * (4 * a * (3 - X ** 2) - Fraction(1, 4))).primitive()
+
+
+@pytest.mark.parametrize("make", [
+    lambda x, y: (y - x) ** 2 * (y + 1),
+    lambda x, y: x * y ** 2,
+    lambda x, y: (y ** 2 - x) ** 2,
+])
+def test_identically_zero_discriminant_raises(make):
+    with pytest.raises(CurveError):
+        discriminant_poly(PlaneCurve(make(*ring("x", "y"))))
+
+
+def test_discriminant_normalization_is_primitive_with_positive_lead():
+    x, y = ring("x", "y")
+    # Res_y(y^2 + c, 2y) = 4c = -(12/7) x: content 12/7 and the sign divide out
+    curve = PlaneCurve(y ** 2 - Fraction(3, 7) * x)
+    assert discriminant_poly(curve) == MPoly.variable("x", ("x",))
 
 
 def test_critical_values_sheared():

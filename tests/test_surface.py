@@ -223,7 +223,7 @@ def test_four_points_leave_a_pencil():
 
 def test_duplicate_parameters_rejected():
     with pytest.raises(ValueError):
-        unique_quartic_check((0, 1, 1, 2, 3))
+        unique_conic_through((0, 1, 1, 2, 3))
 
 
 def test_gauss_rank_on_the_developable():
