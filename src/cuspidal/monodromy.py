@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .braids import BraidWord, free_reduce
 from .continuation import check_clearance, continue_roots, end_permutation
-from .quartic import (classify_real_fiber, critical_values, cuspidal_quartic,
-                      sheared_curve)
+from .quartic import (CurveError, classify_real_fiber, critical_values,
+                      cuspidal_quartic, sheared_curve)
 from .roots import roots_univariate
 
 DEFAULT_SHEAR = Fraction(1, 100)
@@ -280,7 +280,7 @@ def _strand_names(curve, basepoint, start_roots):
     fallback = [f"s{k + 1}" for k in range(len(start_roots))]
     try:
         labels = classify_real_fiber(curve, basepoint).labels
-    except Exception:
+    except (CurveError, OverflowError):
         return fallback
     if not labels:  # complex quadruple: no real structure to name by
         return fallback

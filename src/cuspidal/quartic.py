@@ -13,13 +13,12 @@ import cmath
 import enum
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactpoly as xp
 from .mpoly import MPoly, bareiss, determinant, resultant, ring, sylvester_matrix
-from .roots import ApproxRoot, eval_poly_deriv, roots_univariate
+from .roots import ApproxRoot, roots_univariate
 
 PLANE_VARS = ("x", "y", "z")
 AFFINE_VARS = ("x", "y")
@@ -197,58 +196,47 @@ class FiberStructure:
     labels: dict = field(default_factory=dict)
 
 
-def fiber_solve(curve, x0, mode="cluster"):
-    """Fiber roots over x0 from the closed biquadratic form, multiple roots
-    merged with their multiplicity; mode "simple" raises CurveError on a
-    multiple root.
+def fiber_solve(curve, x0):
+    """Fiber roots over x0, each with its exact multiplicity and a certified
+    inclusion radius.
 
-    The z-roots of z^2 + A z + B come without cancellation: A(x0), B(x0)
-    and Theta(x0) are evaluated exactly over Q(i) at the float x0 and each
-    is rounded once, the larger root takes -A and -sqrt(Theta) in one half
-    plane, and the smaller is B over the larger.  Radii scale with the size
-    of the roots, not of the coefficients.
+    With y^2 = z and z^2 + A z + B = 0: A(x0) and B(x0) are evaluated
+    exactly over Q(i) at the float x0, whose parts are dyadic rationals, and
+    Theta = A^2 - 4B is taken from those exact values.  Theta(x0) = 0
+    doubles both root pairs, and B(x0) = 0 gives the root y = 0 with
+    multiplicity 2.  The values come without cancellation: each exact value
+    is rounded once, the larger z-root takes -A and -sqrt(Theta) in one half
+    plane, and the smaller is B over the larger.  Each radius is
+    4|p(y)|/|p'(y)| for the fiber polynomial p evaluated exactly at the float
+    root y, rounded up: the disk about y holds a root of p (Rump, Ten methods
+    to bound multiple roots of polynomials, 2003).  It is 0 where p(y) = 0
+    and inf where p'(y) = 0.
 
     Raises CurveError for a curve whose fiber is not biquadratic, and
-    OverflowError when the roots or the fiber's terms at them leave double
+    OverflowError when A(x0), B(x0), Theta(x0) or the roots leave double
     precision."""
     A, B = biquadratic_parts(curve)
+    (ar, ai), (br, bi) = exact = [_gaussian_value(p, x0) for p in (A, B)]
+    th_exact = (ar * ar - ai * ai - 4 * br, 2 * ar * ai - 4 * bi)
     try:
-        a, b, th = (complex(*map(float, _gaussian_value(p, x0)))
-                    for p in (A, B, theta(curve)))
+        a, b, th = (complex(*map(float, v)) for v in exact + [th_exact])
     except OverflowError:
         raise OverflowError(
             f"fiber roots over x = {x0} overflow double precision") from None
+    double, zero = th_exact == (0, 0), (br, bi) == (0, 0)
     sq = cmath.sqrt(th)
     if (a.conjugate() * sq).real < 0:
         sq = -sq
     big = (-a - sq) / 2
-    coeffs = [b, 0, a, 0, 1]
-    values = []
-    for zsq in (big, b / big if big else 0j):
-        root = cmath.sqrt(zsq)
-        values.extend([root, -root])
-    size = max(1.0, abs(a) ** 0.5, abs(b) ** 0.25)  # the roots' order of magnitude
-    # the fiber's terms at its roots are of order size^4
-    if not all(cmath.isfinite(v) for v in values) or size > sys.float_info.max ** 0.25 / 2:
+    zs = [big] if double else [big, b / big]
+    if zero:
+        zs.pop()  # the smaller z-root is 0
+    mult = 2 if double else 1
+    values = [(s, mult) for r in map(cmath.sqrt, zs) for s in (r, -r)]
+    values += [(0j, 2 * mult)] if zero else []
+    if not all(cmath.isfinite(v) for v, _ in values):
         raise OverflowError(f"fiber roots over x = {x0} overflow double precision")
-    merged = []
-    for v in values:
-        for m in merged:
-            if abs(v - m[0]) < 1e-9 * size:
-                m[1] += 1
-                break
-        else:
-            merged.append([v, 1])
-    if mode == "simple" and any(m[1] > 1 for m in merged):
-        raise CurveError(f"fiber at {x0} has multiple roots; use cluster mode")
-    out = []
-    for v, mult in merged:
-        p, dp = eval_poly_deriv(coeffs, v)
-        if mult == 1 and abs(dp) > 1e-9 * size ** 3:
-            radius = 4 * abs(p) / abs(dp) + 1e-15 * size
-        else:
-            radius = 1e-12 * size  # closed form is accurate to rounding error
-        out.append(ApproxRoot(v, radius, mult))
+    out = [ApproxRoot(v, _residual_radius(exact, v), m) for v, m in values]
     out.sort(key=lambda r: (r.value.real, r.value.imag))
     return out
 
@@ -264,59 +252,63 @@ def _gaussian_value(poly, x0):
     return acc_re, acc_im
 
 
-def distinct_fiber_roots(curve, x0):
-    """Number of distinct fiber roots over x0, decided exactly over Q(i).
-
-    With y^2 = z and z^2 + A z + B = 0 the z-roots coincide iff Theta(x0)
-    = 0, and z = 0 is a root iff B(x0) = 0; each double z-root doubles its
-    y-roots, and z = 0 gives the single y-root 0."""
-    _, B = biquadratic_parts(curve)
-    double, zero = (_gaussian_value(p, x0) == (0, 0) for p in (theta(curve), B))
-    return {(False, False): 4, (True, False): 2, (False, True): 3, (True, True): 1}[
-        (double, zero)]
+def _residual_radius(exact, y):
+    """4|p(y)|/|p'(y)| rounded up, for p = y^4 + a y^2 + b with the exact
+    Gaussian rationals (a, b), evaluated exactly at the complex float y."""
+    (ar, ai), (br, bi) = exact
+    yr, yi = Fraction(y.real), Fraction(y.imag)
+    sr, si = yr * yr - yi * yi, 2 * yr * yi  # y^2
+    tr, ti = sr + ar, si + ai  # p = y^2 t + b with t = y^2 + a
+    pr, pi = sr * tr - si * ti + br, sr * ti + si * tr + bi
+    ur, ui = tr + sr, ti + si  # p' = 2 y u with u = 2 y^2 + a
+    num = pr * pr + pi * pi
+    den = (yr * yr + yi * yi) * (ur * ur + ui * ui)
+    if not den:
+        return math.inf if num else 0.0
+    q = 4 * num / den  # the squared radius, 16 |p|^2 / (4 |y|^2 |u|^2)
+    radius = math.sqrt(float(q))
+    while Fraction(radius) ** 2 < q:
+        radius = math.nextafter(radius, math.inf)
+    return radius
 
 
 def classify_real_fiber(curve, x0):
-    """Real-root structure of the fiber, decided by exact rational signs.
+    """Real-root structure of the fiber over the real x0, decided by exact
+    rational signs, with the A1/A2/B1/B2 labels on fiber_solve's roots.
 
     With y^2 = z and z^2 + A z + B = 0: the z-roots are real iff
     Theta = A^2 - 4B >= 0, both positive iff additionally B > 0 > A,
-    both negative iff B > 0 < A.  The A1/A2/B1/B2 labels encode the root
-    ordering of each regime.
+    both negative iff B > 0 < A.  Each pattern names the roots in
+    fiber_solve's (real, imag) order by its row of _LABELS, a real root as
+    a float; a double root carries two names.
     """
     A, B = biquadratic_parts(curve)
-    xq = Fraction(x0)
-    a = A.evaluate({"x": xq})
-    b = B.evaluate({"x": xq})
+    (a, _), (b, _) = (_gaussian_value(p, x0) for p in (A, B))
     th = a * a - 4 * b
-    roots = fiber_solve(curve, float(x0))
-    labels = {}
     if th < 0:
         pattern = FiberPattern.COMPLEX_QUADRUPLE
     elif th == 0:
         pattern = FiberPattern.TWO_DOUBLE_REAL
-        s = math.sqrt(-float(a) / 2)
-        labels = {"B2": s, "B1": s, "A1": -s, "A2": -s}
     elif b == 0:
         raise CurveError(f"x0 = {x0} is a critical value; patterns cover open strata")
+    elif b < 0:
+        pattern = FiberPattern.TWO_REAL_TWO_IMAGINARY
+    elif a < 0:
+        pattern = FiberPattern.FOUR_REAL
     else:
-        z_plus = (-float(a) + math.sqrt(float(th))) / 2
-        z_minus = (-float(a) - math.sqrt(float(th))) / 2
-        if b < 0:
-            pattern = FiberPattern.TWO_REAL_TWO_IMAGINARY
-            real = math.sqrt(z_plus)
-            imag = math.sqrt(-z_minus)
-            labels = {"B2": real, "A2": -real, "A1": imag * 1j, "B1": -imag * 1j}
-        elif a < 0:
-            pattern = FiberPattern.FOUR_REAL
-            b2, b1 = math.sqrt(z_plus), math.sqrt(z_minus)
-            labels = {"B2": b2, "B1": b1, "A1": -b1, "A2": -b2}
-        else:
-            pattern = FiberPattern.FOUR_IMAGINARY
-            y2 = math.sqrt(-z_plus)
-            y1 = math.sqrt(-z_minus)
-            labels = {"A1": y1 * 1j, "A2": y2 * 1j, "B2": -y2 * 1j, "B1": -y1 * 1j}
+        pattern = FiberPattern.FOUR_IMAGINARY
+    roots = fiber_solve(curve, float(x0))
+    labels = {name: r.value if r.value.imag else r.value.real
+              for r, names in zip(roots, _LABELS.get(pattern, ())) for name in names.split()}
     return FiberStructure(float(x0), pattern, roots, labels)
+
+
+_LABELS = {
+    FiberPattern.FOUR_REAL: ("A2", "A1", "B1", "B2"),
+    FiberPattern.TWO_REAL_TWO_IMAGINARY: ("A2", "B1", "A1", "B2"),
+    FiberPattern.FOUR_IMAGINARY: ("B1", "B2", "A2", "A1"),
+    FiberPattern.TWO_DOUBLE_REAL: ("A2 A1", "B1 B2"),
+}
 
 
 # -- critical values -----------------------------------------------------------

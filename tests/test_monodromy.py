@@ -112,6 +112,12 @@ def test_strand_names_cover_the_four_labels():
     assert sorted(result.strand_names) == ["A1", "A2", "B1", "B2"]
 
 
+def test_strand_names_follow_the_two_real_two_imaginary_table():
+    # the default basepoint's fiber has two real roots and a conjugate pair;
+    # the start roots in (real, imag) order are A2 < B1 < A1 < B2
+    assert factorization().strand_names == ["A2", "B1", "A1", "B2"]
+
+
 def test_first_two_factors_commute():
     result = factorization()
     f1, f2 = result.factors[0], result.factors[1]

@@ -6,6 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+try:
+    import mpmath
+except ImportError:
+    mpmath = None
+needs_mpmath = pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+
 from cuspidal import exactpoly as xp
 from cuspidal.mpoly import MPoly, determinant, ring
 from cuspidal.quartic import (
@@ -101,8 +107,7 @@ def test_a_sign_interval():
 
 def test_fiber_solve_at_zero():
     roots = fiber_solve(cuspidal_quartic(), 0.0)
-    mults = sorted(r.multiplicity for r in roots)
-    assert mults == [1, 1, 2]
+    assert [r.multiplicity for r in roots] == [1, 2, 1]
     assert any(r.multiplicity == 2 and abs(r.value) < 1e-14 for r in roots)
     imag = sorted(r.value.imag for r in roots if r.multiplicity == 1)
     assert abs(imag[1] - 3 * math.sqrt(3) / 2) < 1e-12
@@ -110,7 +115,7 @@ def test_fiber_solve_at_zero():
 
 def test_fiber_solve_at_minus_nine_eighths():
     roots = fiber_solve(cuspidal_quartic(), -9 / 8)
-    assert sorted(r.multiplicity for r in roots) == [2, 2]
+    assert [r.multiplicity for r in roots] == [2, 2]
     target = 3 * math.sqrt(3) / 8
     values = sorted(r.value.real for r in roots)
     assert abs(values[0] + target) < 1e-10 and abs(values[1] - target) < 1e-10
@@ -118,7 +123,7 @@ def test_fiber_solve_at_minus_nine_eighths():
 
 def test_fiber_solve_at_minus_one():
     roots = fiber_solve(cuspidal_quartic(), -1.0)
-    assert sorted(r.multiplicity for r in roots) == [1, 1, 2]
+    assert [r.multiplicity for r in roots] == [1, 2, 1]
     nonzero = sorted(r.value.real for r in roots if r.multiplicity == 1)
     assert abs(nonzero[0] + 0.5) < 1e-12 and abs(nonzero[1] - 0.5) < 1e-12
 
@@ -133,11 +138,15 @@ def test_fiber_solve_small_pair_near_a_zero_of_b():
     assert abs(abs(small.value) - expected) < 1e-9 * expected
 
 
-@pytest.mark.parametrize("x0", [-0.999999, -1.0000001, -0.5, 0.3 + 0.2j])
+@needs_mpmath
+@pytest.mark.parametrize("x0", [-0.999999, -1.0000001, -0.5, 0.3 + 0.2j, 1e-8, 1e15,
+                                1e15j, 1e19, 1e20j, 1e30, -1e30, 1e30j])
 def test_fiber_disks_contain_the_60_digit_roots(x0):
     # near x = -1, B = x^4 + x^3 cancels in floats; exact A, B and Theta at
-    # the float x0, each rounded once, keep the small pair at full accuracy
-    mpmath = pytest.importorskip("mpmath")
+    # the float x0, each rounded once, keep the small pair at full accuracy;
+    # at large |x| the root pairs are only 2.8 / sqrt|x| apart relative to
+    # their size, at 1e-8 the small pair is 7.7e-13 apart: each disk still
+    # holds its own root
     A, B = biquadratic_parts(cuspidal_quartic())
     with mpmath.workdps(60):
         x = mpmath.mpc(complex(x0))
@@ -176,9 +185,36 @@ def test_fiber_solve_far_out_matches_a_50_digit_closed_form(x):
         assert abs(r.value.imag - y) <= r.radius < 1e-6 * abs(y)
 
 
-def test_fiber_simple_mode_rejects_critical_fibers():
-    with pytest.raises(CurveError):
-        fiber_solve(cuspidal_quartic(), -1.0, mode="simple")
+def _mp_fiber_roots(x0):
+    """The four fiber roots over x0 from the closed form, at the current
+    mpmath precision."""
+    A, B = biquadratic_parts(cuspidal_quartic())
+    x = mpmath.mpc(complex(x0))
+    a, b = (mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator
+                            for c in reversed(p.univariate_coeffs("x"))], x)
+            for p in (A, B))
+    sq = mpmath.sqrt(a * a - 4 * b)
+    return [s * mpmath.sqrt((-a + t * sq) / 2) for s in (1, -1) for t in (1, -1)]
+
+
+# within about 1e-11 of -9/8 the two double-root pairs split by less than
+# double precision resolves, and their disks rightly overlap
+_signed = st.builds(lambda m, s: s * m, st.floats(1e-8, 1e19),
+                    st.sampled_from([1, -1])).filter(lambda x: abs(x + 1.125) > 1e-9)
+
+
+@needs_mpmath
+@given(st.one_of(st.sampled_from([-1.0, -1.125, 0.0]), _signed,
+                 st.builds(complex, st.just(0.0), _signed),
+                 st.builds(complex, _signed, _signed)))
+def test_fiber_solve_disks_are_disjoint_and_hold_the_60_digit_roots(x0):
+    roots = fiber_solve(cuspidal_quartic(), x0)
+    assert sum(r.multiplicity for r in roots) == 4
+    assert not any(r.overlaps(s) for i, r in enumerate(roots) for s in roots[i + 1:])
+    with mpmath.workdps(60):
+        exact = _mp_fiber_roots(x0)
+        for r in roots:
+            assert min(abs(t - mpmath.mpc(r.value)) for t in exact) <= r.radius
 
 
 def test_fiber_solve_rejects_a_curve_that_is_not_biquadratic():
@@ -210,6 +246,20 @@ def test_real_fiber_labels():
     assert g.labels["A1"] == -g.labels["B1"] and g.labels["A2"] == -g.labels["B2"]
     h = classify_real_fiber(curve, -9 / 8)
     assert abs(h.labels["B2"] - 3 * math.sqrt(3) / 8) < 1e-10
+
+
+@needs_mpmath
+@pytest.mark.parametrize("x0", [-0.01, 0.1])
+def test_real_fiber_labels_match_the_60_digit_roots(x0):
+    # the smaller z-root is 1e-4 of A(x0) or less, so -A + sqrt(Theta) in
+    # floats would lose that factor of relative accuracy
+    labels = classify_real_fiber(cuspidal_quartic(), x0).labels
+    with mpmath.workdps(60):
+        exact = _mp_fiber_roots(x0)
+        nearest = {name: min(exact, key=lambda t: abs(t - y)) for name, y in labels.items()}
+        assert len(set(map(str, nearest.values()))) == 4
+        for name, y in labels.items():
+            assert abs(nearest[name] - y) <= 1e-15 * abs(nearest[name]), name
 
 
 def test_critical_values_unsheared():
