@@ -66,9 +66,6 @@ class BraidWord:
             return self.inverse() ** (-k)
         return BraidWord(self.n_strands, self.letters * k)
 
-    def reduced(self):
-        return BraidWord(self.n_strands, free_reduce(self.letters))
-
     def exponent_sum(self):
         return sum(1 if g > 0 else -1 for g in self.letters)
 

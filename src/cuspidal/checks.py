@@ -126,14 +126,11 @@ def criterion_real_fiber_table():
         -9 / 8: quartic.FiberPattern.TWO_DOUBLE_REAL,
         -1.2: quartic.FiberPattern.COMPLEX_QUADRUPLE,
     }
-    got = {}
-    ok = True
-    for x0, pattern in expected.items():
-        fiber = quartic.classify_real_fiber(curve, x0)
-        got[str(x0)] = fiber.pattern.value
-        ok = ok and fiber.pattern is pattern
-    double = quartic.classify_real_fiber(curve, -9 / 8).labels["B2"]
-    ok = ok and abs(double - 3 * math.sqrt(3) / 8) < TOL_DOUBLE_ROOT
+    fibers = {x0: quartic.classify_real_fiber(curve, x0) for x0 in expected}
+    got = {str(x0): fiber.pattern.value for x0, fiber in fibers.items()}
+    double = fibers[-9 / 8].labels["B2"]
+    ok = (all(fibers[x0].pattern is pattern for x0, pattern in expected.items())
+          and abs(double - 3 * math.sqrt(3) / 8) < TOL_DOUBLE_ROOT)
     return ok, {"patterns": got, "double_root": double}
 
 

@@ -1,5 +1,11 @@
 """Command-line front end: every pipeline as a subcommand with JSON output.
 
+Each subcommand is declared once, in `build_parser`, with its options and
+the check that a breakdown fails.  A handler returns (results, checks) and
+`main` alone builds the report: the options' values are its inputs, and an
+exception the handler raises is a failed check whose witness is
+`checks.exception_witness`.
+
 Exit codes: 0 when every check in the report passes, 1 when one fails,
 2 on usage errors.  JSON is deterministic for a fixed argv and seed:
 rationals are printed as "p/q" strings, floats with 15 significant digits.
@@ -15,8 +21,6 @@ import sys
 from fractions import Fraction
 
 from . import bidouble, braids, checks, groups, monodromy, quartic
-from .continuation import ContinuationError
-from .roots import RootFindingError
 
 
 def _round15(x):
@@ -70,30 +74,22 @@ def _positive_int(text):
     return value
 
 
-def _report(command, inputs, results, check_list):
-    return {
-        "command": command,
-        "inputs": _jsonify(inputs),
-        "results": _jsonify(results),
-        "checks": [{"name": n, "pass": bool(p), "witness": _jsonify(w)}
-                   for n, p, w in check_list],
-    }
-
-
 def _emit(report, out):
-    if out == "json":
-        print(json.dumps(report, indent=2))
-    else:
+    if out == "svg" and "svg" in report["results"]:  # a breakdown has none: JSON
+        print(report["results"]["svg"])
+    elif out == "text":
         print(f"== {report['command']}")
         for key, value in report["results"].items():
             print(f"{key}: {json.dumps(value)}")
         for check in report["checks"]:
             status = "PASS" if check["pass"] else "FAIL"
             print(f"[{status}] {check['name']}")
+    else:
+        print(json.dumps(report, indent=2))
     return 0 if all(c["pass"] for c in report["checks"]) else 1
 
 
-# -- subcommand handlers -------------------------------------------------------
+# -- subcommand handlers: each returns (results, [(name, passed, witness)]) ----
 
 def cmd_discriminant(args):
     passed, witness = checks.criterion_discriminant_identity()
@@ -103,8 +99,7 @@ def cmd_discriminant(args):
         "delta_relation": "Delta = -256 * P(u, v, a^2, b^2)",
         "different": bidouble.different().canonical_str(),
     }
-    return _report("discriminant", {}, results,
-                   [("discriminant_identity", passed, witness)])
+    return results, [("discriminant_identity", passed, witness)]
 
 
 def cmd_cusps(args):
@@ -117,7 +112,7 @@ def cmd_cusps(args):
          "u_complex": complex(c.as_complex()[0]),
          "v_complex": complex(c.as_complex()[1])}
         for c in cusps]}
-    return _report("cusps", {}, results, [("cusp_locations", passed, witness)])
+    return results, [("cusp_locations", passed, witness)]
 
 
 def cmd_curve_checks(args):
@@ -130,18 +125,20 @@ def cmd_curve_checks(args):
         "cusps_of_C": [list(c) for c in cusps],
         "dual_degree": quartic.implicitize(quartic.dual_of_dual()).degree,
     }
-    return _report("curve-checks", {}, results,
-                   [("curve_duality", c4, w4), ("theta_identities", c6, w6)])
+    return results, [("curve_duality", c4, w4), ("theta_identities", c6, w6)]
 
 
 def cmd_fiber(args):
     curve = quartic.cuspidal_quartic()
-    inputs = {"x": args.x}
-    try:
+    roots = pattern = None
+    if args.x.imag == 0:
+        try:  # the pattern's exact signs and the roots, from one solve
+            fiber = quartic.classify_real_fiber(curve, args.x.real)
+            roots, pattern = fiber.roots, fiber.pattern.value
+        except quartic.CurveError:  # x is a critical value
+            pattern = "critical"
+    if roots is None:
         roots = quartic.fiber_solve(curve, args.x)
-    except (OverflowError, quartic.CurveError) as exc:
-        return _report("fiber", inputs, {"x": args.x},
-                       [("root_count", False, checks.exception_witness(exc))])
     results = {"x": args.x, "roots": [
         {"value": r.value, "radius": r.radius, "multiplicity": r.multiplicity}
         for r in roots]}
@@ -149,23 +146,19 @@ def cmd_fiber(args):
     total = sum(r.multiplicity for r in roots)
     count = {"total_multiplicity": total}
     count_ok = total == 4
-    if args.x.imag == 0:
+    if pattern is not None:
         vals = [r.value for r in roots for _ in range(r.multiplicity)]
         tol = 1e-9 * max(1.0, max(abs(v) for v in vals))  # relative to the root size
         conj = all(min(abs(v.conjugate() - w) for w in vals) < tol for v in vals)
         neg = all(min(abs(-v - w) for w in vals) < tol for v in vals)
         check_list.append(("fiber_symmetry", conj and neg,
                            {"conjugation": conj, "negation": neg}))
-        try:
-            pattern = quartic.classify_real_fiber(curve, args.x.real).pattern.value
-        except quartic.CurveError:
-            pattern = "critical"
         results["pattern"] = pattern
     if any(r.overlaps(s) for i, r in enumerate(roots) for s in roots[i + 1:]):
         count_ok = False
         count.update(overlapping_disks=True)
     check_list.append(("root_count", count_ok, count))
-    return _report("fiber", inputs, results, check_list)
+    return results, check_list
 
 
 def cmd_critical_values(args):
@@ -174,27 +167,18 @@ def cmd_critical_values(args):
     total = sum(m for _, m in vals)
     results = {"shear": args.shear,
                "critical_values": [{"value": complex(v), "order": m} for v, m in vals]}
-    return _report("critical-values", {"shear": args.shear}, results,
-                   [("total_order_ten", total == 10, {"total": total})])
+    return results, [("total_order_ten", total == 10, {"total": total})]
 
 
 def cmd_monodromy(args):
-    basepoint = (monodromy.default_basepoint() if args.basepoint is None
-                 else args.basepoint)
-    inputs = {"shear": args.shear, "basepoint": basepoint}
-    try:
-        result = monodromy.monodromy_factorization(
-            basepoint=basepoint, shear=args.shear, keep_paths=args.out == "svg")
-    except (ContinuationError, RootFindingError, monodromy.SweepError) as exc:
-        return _report("monodromy", inputs, {},
-                       [("braid_monodromy", False, checks.exception_witness(exc))])
-    if args.out == "svg":
+    svg = args.out == "svg"
+    result = monodromy.monodromy_factorization(
+        basepoint=args.basepoint, shear=args.shear, keep_paths=svg)
+    check = ("braid_monodromy", *checks.criterion_braid_monodromy(result))
+    if svg:
         merged = [p for family in result.strand_paths for p in family]
-        print(monodromy.strand_paths_svg(merged))
-        return 0
-    passed, witness = checks.criterion_braid_monodromy(result)
-    return _report("monodromy", inputs, result.to_json(),
-                   [("braid_monodromy", passed, witness)])
+        return {"svg": monodromy.strand_paths_svg(merged)}, [check]
+    return result.to_json(), [check]
 
 
 def cmd_vankampen(args):
@@ -220,8 +204,7 @@ def cmd_vankampen(args):
                            {"generators": simplified.n_generators}))
     else:
         check_list.append(("affine_abelianization", ab == [0], {"abelianization": ab}))
-    return _report("vankampen", {"source": args.source, "projective": args.projective},
-                   results, check_list)
+    return results, check_list
 
 
 def cmd_enumerate_homs(args):
@@ -239,7 +222,7 @@ def cmd_enumerate_homs(args):
                      for rep in classes.values())
         check = ("orbit_count", orbits == tuple_count,
                  {"satisfying_tuples": tuple_count, "orbit_sizes_sum": orbits})
-    return _report("enumerate-homs", {"target": args.target}, results, [check])
+    return results, [check]
 
 
 def cmd_coset_order(args):
@@ -252,27 +235,22 @@ def cmd_coset_order(args):
         order != groups.OVERFLOW and all(order % t == 0 for t in ab if t))
     results = {"presentation": args.presentation, "order": order,
                "abelianization": ab}
-    return _report("coset-order",
-                   {"presentation": args.presentation, "max_cosets": args.max_cosets},
-                   results,
-                   [("consistent_with_abelianization", consistent,
-                     {"order": order, "abelianization": ab})])
+    return results, [("consistent_with_abelianization", consistent,
+                      {"order": order, "abelianization": ab})]
 
 
 def cmd_surface_checks(args):
     steps, ranks = checks.surface_steps(args.seed)
-    check_list = [(r.name, r.passed, r.witness) for r in steps]
     results = {"gauss_ranks": ranks,
                "determinant_conic": "det(l.Q) = (1/16)(l0 l2 - l1^2)^2"}
-    return _report("surface-checks", {"seed": args.seed}, results, check_list)
+    return results, [(r.name, r.passed, r.witness) for r in steps]
 
 
 def cmd_reproduce_all(args):
     results = checks.run_all(seed=args.seed)
-    check_list = [(r.name, r.passed, r.witness) for r in results]
     summary = {"criteria": len(results),
                "passed": sum(1 for r in results if r.passed)}
-    return _report("reproduce-all", {"seed": args.seed}, summary, check_list)
+    return summary, [(r.name, r.passed, r.witness) for r in results]
 
 
 def build_parser():
@@ -282,53 +260,65 @@ def build_parser():
                     "3-cuspidal quartic and deformed degree-4 covers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        p.add_argument("--out", choices=("json", "text", "svg"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        return p
+    def add(name, handler, check, summary, *options, out=("json", "text")):
+        """Declare a subcommand once: its (flag, keywords) options, whose
+        values are the report's inputs, and the check that fails when the
+        handler raises."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out", choices=out, default="json")
+        inputs = [p.add_argument(flag, **kwargs).dest for flag, kwargs in options]
+        p.set_defaults(handler=handler, check=check, inputs=inputs)
 
-    add("discriminant", cmd_discriminant, help="cover discriminant identities")
-    add("cusps", cmd_cusps, help="cusps of the normalized discriminant curve")
-    add("curve-checks", cmd_curve_checks, help="duality and Theta identities")
-
-    p_fiber = add("fiber", cmd_fiber, help="fiber roots over a given x")
-    p_fiber.add_argument("--x", type=_finite(complex), required=True)
-
-    p_crit = add("critical-values", cmd_critical_values,
-                 help="critical values of the sheared projection")
-    p_crit.add_argument("--shear", type=_fraction_arg, default=Fraction(0))
-
-    p_mono = add("monodromy", cmd_monodromy, help="braid monodromy factorization")
-    p_mono.add_argument("--shear", type=_fraction_arg, default=monodromy.DEFAULT_SHEAR)
-    p_mono.add_argument("--basepoint", type=_finite(float), default=None)
-
-    p_vk = add("vankampen", cmd_vankampen, help="complement group presentation")
-    p_vk.add_argument("--source", choices=("fixture", "computed"), default="fixture")
-    p_vk.add_argument("--projective", action="store_true")
-
-    p_homs = add("enumerate-homs", cmd_enumerate_homs,
-                 help="homomorphisms to symmetric groups")
-    p_homs.add_argument("--target", choices=("s3", "s4"), default="s4")
-
-    p_coset = add("coset-order", cmd_coset_order, help="Todd-Coxeter group order")
-    p_coset.add_argument("--presentation", choices=("affine", "projective"),
-                         default="projective")
-    p_coset.add_argument("--max-cosets", type=_positive_int, default=10 ** 5)
-
-    add("surface-checks", cmd_surface_checks, help="twisted-cubic surface suite")
-    add("reproduce-all", cmd_reproduce_all, help="run the full acceptance checklist")
+    seed = ("--seed", {"type": int, "default": 0})
+    add("discriminant", cmd_discriminant, "discriminant_identity",
+        "cover discriminant identities")
+    add("cusps", cmd_cusps, "cusp_locations",
+        "cusps of the normalized discriminant curve")
+    add("curve-checks", cmd_curve_checks, "curve_duality",
+        "duality and Theta identities")
+    add("fiber", cmd_fiber, "root_count", "fiber roots over a given x",
+        ("--x", {"type": _finite(complex), "required": True}))
+    add("critical-values", cmd_critical_values, "total_order_ten",
+        "critical values of the sheared projection",
+        ("--shear", {"type": _fraction_arg, "default": Fraction(0)}))
+    add("monodromy", cmd_monodromy, "braid_monodromy", "braid monodromy factorization",
+        ("--shear", {"type": _fraction_arg, "default": monodromy.DEFAULT_SHEAR}),
+        ("--basepoint", {"type": _finite(float),
+                         "default": monodromy.default_basepoint()}),
+        out=("json", "text", "svg"))
+    add("vankampen", cmd_vankampen, "affine_abelianization",
+        "complement group presentation",
+        ("--source", {"choices": ("fixture", "computed"), "default": "fixture"}),
+        ("--projective", {"action": "store_true"}))
+    add("enumerate-homs", cmd_enumerate_homs, "s4_uniqueness",
+        "homomorphisms to symmetric groups",
+        ("--target", {"choices": ("s3", "s4"), "default": "s4"}))
+    add("coset-order", cmd_coset_order, "consistent_with_abelianization",
+        "Todd-Coxeter group order",
+        ("--presentation", {"choices": ("affine", "projective"),
+                            "default": "projective"}),
+        ("--max-cosets", {"type": _positive_int, "default": 10 ** 5}))
+    add("surface-checks", cmd_surface_checks, "surface_suite",
+        "twisted-cubic surface suite", seed)
+    add("reproduce-all", cmd_reproduce_all, "reproduce_all",
+        "run the full acceptance checklist", seed)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    report_or_code = args.handler(args)
-    if isinstance(report_or_code, int):
-        return report_or_code
-    return _emit(report_or_code, args.out)
+    args = build_parser().parse_args(argv)
+    try:
+        results, check_list = args.handler(args)
+    except Exception as exc:  # a breakdown is a failed check, not a traceback
+        results, check_list = {}, [(args.check, False, checks.exception_witness(exc))]
+    report = {
+        "command": args.command,
+        "inputs": _jsonify({name: getattr(args, name) for name in args.inputs}),
+        "results": _jsonify(results),
+        "checks": [{"name": n, "pass": bool(p), "witness": _jsonify(w)}
+                   for n, p, w in check_list],
+    }
+    return _emit(report, args.out)
 
 
 if __name__ == "__main__":

@@ -245,12 +245,6 @@ def _variations(chain, x):
     return count
 
 
-def count_roots(p, a, b):
-    """Number of distinct real roots in (a, b] (Sturm; p need not be squarefree)."""
-    chain = _chain(p)
-    return _variations(chain, Fraction(a)) - _variations(chain, Fraction(b))
-
-
 def isolate_roots(p, a, b):
     """Disjoint rational intervals (lo, hi], one per distinct root of p in (a, b]."""
     chain = _chain(p)

@@ -71,9 +71,6 @@ class ParamCurve:
     def coeff_lists(self):
         return [c.univariate_coeffs("t") for c in self.components]
 
-    def evaluate(self, t):
-        return tuple(c.evaluate({"t": t}) for c in self.components)
-
 
 def _from_coeffs(coeffs):
     return MPoly(("t",), {(i,): c for i, c in enumerate(coeffs)})
@@ -390,8 +387,9 @@ def critical_values(curve, shear=Fraction(0)):
     Yun's squarefree decomposition, whose gcds are integer pseudo-remainder
     sequences, so rational critical values come out exactly with certified
     orders and the remaining ones are simple roots of exact squarefree
-    factors, found numerically with tiny certificates.  Centers closer than
-    1e-6 are merged with summed order.
+    factors, found numerically with tiny certificates.  Roots of different
+    Yun factors are distinct, and so are the roots of one squarefree factor,
+    so every value is listed once with its own order, sorted by (real, imag).
     """
     sheared = sheared_curve(curve, shear)
     disc = discriminant_poly(sheared)
@@ -406,15 +404,7 @@ def critical_values(curve, shear=Fraction(0)):
                 if abs(value.imag) < 1e-10 * max(1.0, abs(value)):
                     value = complex(value.real, 0.0)  # conjugate-symmetric snap
                 out.append((value, mult))
-    merged = []
-    for value, mult in sorted(out, key=lambda s: (s[0].real, s[0].imag)):
-        if merged and abs(merged[-1][0] - value) < 1e-6:
-            prev = merged.pop()
-            merged.append(((prev[0] * prev[1] + value * mult) / (prev[1] + mult),
-                           prev[1] + mult))
-        else:
-            merged.append((value, mult))
-    return merged
+    return sorted(out, key=lambda s: (s[0].real, s[0].imag))
 
 
 # -- flexes and cusps -----------------------------------------------------------

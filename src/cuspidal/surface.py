@@ -59,10 +59,6 @@ class QuadricForm:
                     acc = acc + self.matrix[i][j] * xs[i] * xs[j]
         return acc
 
-    def evaluate(self, point):
-        return sum(self.matrix[i][j] * point[i] * point[j]
-                   for i in range(4) for j in range(4))
-
 
 @dataclass(frozen=True)
 class ConicForm:
@@ -71,10 +67,6 @@ class ConicForm:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _symmetric_matrix(self.matrix, 3))
-
-    def value(self, y):
-        return sum(self.matrix[i][j] * y[i] * y[j]
-                   for i in range(3) for j in range(3))
 
 
 def twisted_cubic():

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from cuspidal import checks, surface
+from cuspidal import checks, cli, quartic, surface
 from cuspidal.bidouble import StructureError
 from cuspidal.cli import main
 
@@ -97,6 +97,86 @@ def test_coset_order_rejects_a_limit_below_one(limit):
     with pytest.raises(SystemExit) as err:
         main(["coset-order", f"--max-cosets={limit}"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["discriminant", "--seed", "3"],  # only surface-checks and reproduce-all are seeded
+    ["fiber", "--x=-0.5", "--out", "svg"],  # only monodromy draws
+])
+def test_options_a_subcommand_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
+DEFAULT_INPUTS = {
+    "discriminant": {},
+    "cusps": {},
+    "curve-checks": {},
+    "fiber": {"x": [-0.5, 0.0]},  # --x is required
+    "critical-values": {"shear": "0/1"},
+    "monodromy": {"shear": "1/100", "basepoint": -0.950961894323342},
+    "vankampen": {"source": "fixture", "projective": False},
+    "enumerate-homs": {"target": "s4"},
+    "coset-order": {"presentation": "projective", "max_cosets": 100000},
+    "surface-checks": {"seed": 0},
+    "reproduce-all": {"seed": 0},
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_INPUTS))
+def test_inputs_at_the_defaults_are_the_declared_options(capsys, monkeypatch, command):
+    for name in dir(cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: ({}, []))
+    argv = [command] + (["--x=-0.5"] if command == "fiber" else [])
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["inputs"] == DEFAULT_INPUTS[command]
+    [sub] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    flags = {f for a in sub.choices[command]._actions for f in a.option_strings}
+    declared = {"--" + k.replace("_", "-") for k in DEFAULT_INPUTS[command]}
+    assert flags == declared | {"-h", "--help", "--out"}
+
+
+@pytest.mark.parametrize("argv, check, exception", [
+    (["critical-values", "--shear", "1/100000000000"], "total_order_ten",
+     "RootFindingError"),
+    (["monodromy", "--basepoint=1e300"], "braid_monodromy", "OverflowError"),
+])
+def test_a_breakdown_is_a_failed_check_not_a_traceback(capsys, argv, check, exception):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    data = _strict_json(captured.out)
+    assert data["results"] == {}
+    [failed] = data["checks"]
+    assert failed["name"] == check and failed["pass"] is False
+    assert failed["witness"]["exception"] == exception and failed["witness"]["message"]
+
+
+def test_a_breakdown_under_out_svg_prints_its_report(capsys):
+    code, out = run_cli(capsys, "monodromy", "--basepoint=0", "--out", "svg")
+    assert code == 1
+    [check] = _strict_json(out)["checks"]
+    assert check["name"] == "braid_monodromy"
+    assert check["witness"]["exception"] == "RootFindingError"
+
+
+def test_a_real_fiber_is_solved_once(capsys, monkeypatch):
+    calls = []
+    solve = quartic.fiber_solve
+
+    def counted(curve, x0):
+        calls.append(x0)
+        return solve(curve, x0)
+
+    monkeypatch.setattr(quartic, "fiber_solve", counted)
+    code, out = run_cli(capsys, "fiber", "--x=-0.5")
+    assert code == 0
+    assert calls == [-0.5]
+    assert json.loads(out)["results"]["pattern"] == "TwoRealTwoImaginary"
 
 
 def test_usage_error_exits_2(capsys):

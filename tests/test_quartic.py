@@ -43,11 +43,16 @@ def test_dual_parametrization_matches_printed_form():
     assert dual.components[2] == (t ** 2 + 1) ** 2
 
 
+def _point_at(param, t):
+    """(X(t), Y(t), Z(t)) of a parametrized curve."""
+    return tuple(c.evaluate({"t": t}) for c in param.components)
+
+
 def test_dual_parametrization_sample_points():
     dual = dual_parametrization(nodal_cubic_param(), nodal_cubic())
-    assert dual.evaluate(Fraction(0)) == (-1, 0, 1)
+    assert _point_at(dual, Fraction(0)) == (-1, 0, 1)
     # t = 1/sqrt(3): affine point (-9/8, 3 sqrt3 / 8)
-    X, Y, Z = dual.evaluate(1 / math.sqrt(3))
+    X, Y, Z = _point_at(dual, 1 / math.sqrt(3))
     assert abs(X / Z + 9 / 8) < 1e-12
     assert abs(Y / Z - 3 * math.sqrt(3) / 8) < 1e-12
 
@@ -376,6 +381,17 @@ def test_critical_values_sheared():
     assert len(near_cusp_pair) == 2
 
 
+def test_critical_values_keep_a_split_cusp_pair_closer_than_1e_6():
+    # the split cusp values -9/8 -+ (3 sqrt 3 / 8) shear are 4.3e-7 apart:
+    # two values of order 3, not one of order 6
+    shear = Fraction(1, 3_000_000)
+    vals = critical_values(cuspidal_quartic(), shear)
+    assert [m for _, m in vals] == [3, 3, 1, 3]
+    split = 3 * math.sqrt(3) / 8 * float(shear)
+    assert abs(vals[0][0] - (-9 / 8 - split)) < 1e-9
+    assert abs(vals[1][0] - (-9 / 8 + split)) < 1e-9
+
+
 def test_critical_values_of_a_quintic_at_the_rounding_floor():
     # Disc_y is squarefree of degree 20; Aberth's relative steps stall near
     # 1e-12 there while every residual already sits at the Horner error bound
@@ -389,7 +405,7 @@ def test_critical_values_of_a_quintic_at_the_rounding_floor():
     assert [m for _, m in vals] == [1] * xp.degree(disc)
     real = [v.real for v, _ in vals if v.imag == 0]
     bound = xp.cauchy_bound(disc)
-    assert len(real) == xp.count_roots(disc, -bound, bound)
+    assert len(real) == len(xp.isolate_roots(disc, -bound, bound))
     for v in real:  # an exact sign change of Disc_y brackets each real value
         h = Fraction(1e-9) * max(1, abs(Fraction(v)))
         assert xp.sign_at(disc, Fraction(v) - h) * xp.sign_at(disc, Fraction(v) + h) < 0
