@@ -20,7 +20,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import bidouble, braids, checks, groups, monodromy, quartic
+from . import bidouble, braids, checks, groups, monodromy, quartic, surface
 
 
 def _round15(x):
@@ -82,8 +82,10 @@ def _emit(report, out):
         for key, value in report["results"].items():
             print(f"{key}: {json.dumps(value)}")
         for check in report["checks"]:
-            status = "PASS" if check["pass"] else "FAIL"
-            print(f"[{status}] {check['name']}")
+            if check["pass"]:
+                print(f"[PASS] {check['name']}")
+            else:
+                print(f"[FAIL] {check['name']} {json.dumps(check['witness'])}")
     else:
         print(json.dumps(report, indent=2))
     return 0 if all(c["pass"] for c in report["checks"]) else 1
@@ -241,8 +243,7 @@ def cmd_coset_order(args):
 
 def cmd_surface_checks(args):
     steps, ranks = checks.surface_steps(args.seed)
-    results = {"gauss_ranks": ranks,
-               "determinant_conic": "det(l.Q) = (1/16)(l0 l2 - l1^2)^2"}
+    results = {"gauss_ranks": ranks, "determinant_conic": surface.NET_DETERMINANT}
     return results, [(r.name, r.passed, r.witness) for r in steps]
 
 

@@ -230,7 +230,8 @@ def fiber_evaluator(sheared, center):
     function evaluates it by Horner in x - center.  Near the center, where
     a loop circles its critical value, the fiber is then accurate to a few
     ulps of the Taylor coefficients instead of carrying the cancellation of
-    an expansion around 0.
+    an expansion around 0.  Raises OverflowError, naming the center, when a
+    Taylor coefficient leaves double precision.
     """
     c = Fraction(center)
     tables = []
@@ -239,7 +240,11 @@ def fiber_evaluator(sheared, center):
         for i in range(len(a) - 1):  # repeated synthetic division by x - c
             for j in range(len(a) - 2, i - 1, -1):
                 a[j] += c * a[j + 1]
-        tables.append([float(b) for b in reversed(a)])
+        try:
+            tables.append([float(b) for b in reversed(a)])
+        except OverflowError:
+            raise OverflowError(f"fiber Taylor coefficients at center x = {center} "
+                                "overflow double precision") from None
     c = float(c)
 
     def fiber(x):

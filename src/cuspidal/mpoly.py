@@ -467,63 +467,3 @@ def sylvester_matrix(p, q, name):
 def resultant(p, q, name):
     """Sylvester resultant eliminating ``name``; p's coefficient rows on top."""
     return determinant(sylvester_matrix(p, q, name))
-
-
-def homogeneous_sqrt(p, anchor):
-    """Exact square root of a polynomial, anchored at a variable whose top
-    power has nonzero coefficient; returns None when p is not a square.
-
-    The root's sign is fixed so the coefficient of ``anchor``^(deg/2)
-    is positive.
-    """
-    if p.is_zero():
-        return MPoly.zero(p.variables)
-    d = p.degree_in(anchor)
-    if d % 2:
-        return None
-    coeffs = p.as_univariate(anchor)
-    if len(coeffs) - 1 != d:
-        return None
-    lead = coeffs[d]
-    if lead.degree() > 0:
-        return None  # anchored sqrt wants a constant top coefficient
-    c = lead.coefficient((0,) * len(lead.variables))
-    if c < 0:
-        return None
-    num = _isqrt_exact(c.numerator)
-    den = _isqrt_exact(c.denominator)
-    if num is None or den is None:
-        return None
-    h = d // 2
-    rest = p.variables[:p.variables.index(anchor)] + p.variables[p.variables.index(anchor) + 1:]
-    top = MPoly.constant(Fraction(num, den), rest)
-    if top.is_zero():
-        return None
-    # q = top*anchor^h + L*anchor^(h-1) + ... ; peel coefficients degree by degree.
-    qc = [MPoly.zero(rest) for _ in range(h + 1)]
-    qc[h] = top
-    inv2t = Fraction(1, 2) / Fraction(num, den)
-    for k in range(h - 1, -1, -1):
-        # coefficient of anchor^(k+h) in q^2 is 2*top*qc[k] + known cross terms
-        cross = MPoly.zero(rest)
-        for a in range(k + 1, h):
-            b = k + h - a
-            if b < a or b >= h:
-                continue
-            cross = cross + qc[a] * qc[b] * (1 if a == b else 2)
-        target = coeffs[k + h] if k + h < len(coeffs) else MPoly.zero(rest)
-        qc[k] = (target - cross) * inv2t
-    q = MPoly.zero(p.variables)
-    for k, cpart in enumerate(qc):
-        mono = MPoly.variable(anchor, p.variables) ** k
-        q = q + cpart.extended(p.variables) * mono
-    if q * q == p:
-        return q
-    return None
-
-
-def _isqrt_exact(n):
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None

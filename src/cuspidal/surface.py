@@ -3,7 +3,7 @@
 Everything here is exact.  The cubic is the Veronese image
 v3(t0, t1) = (t0^3, t0^2 t1, t0 t1^2, t1^3); the net of quadrics through it
 is spanned by Q0 = x1 x3 - x2^2, Q1 = -x0 x3 + x1 x2, Q2 = x0 x2 - x1^2.
-The determinant of the net is the square of the Veronese conic, quartics
+The determinant of the net is the Veronese conic squared, over 16; quartics
 with the cubic as double curve are quadratic expressions in the net, and
 pinch points are counted by a degree-4 discriminant built from the
 conormal data.  The quartic P(u, v, alpha, beta) of the deformed cover
@@ -20,7 +20,7 @@ from functools import lru_cache
 from . import exactpoly as xp
 from .bidouble import StructureError, discriminant_norm
 from .linalg import nullspace, rank, solve
-from .mpoly import MPoly, determinant, homogeneous_sqrt, ring
+from .mpoly import MPoly, determinant, ring
 
 X_VARS = ("x0", "x1", "x2", "x3")
 T_VARS = ("t0", "t1")
@@ -28,6 +28,7 @@ L_VARS = ("l0", "l1", "l2")
 # the Veronese conic l0 l2 - l1^2, traced by gamma-tilde(t) = (1, t, t^2)
 VERONESE = ((0, 0, Fraction(1, 2)), (0, -1, 0), (Fraction(1, 2), 0, 0))
 SAMPLE_PARAMS = (0, 1, -1, 2, Fraction(1, 2))  # cone parameters t the checks sample
+NET_DETERMINANT = "det(l.Q) = (1/16)(l0 l2 - l1^2)^2"
 
 
 def _symmetric_matrix(matrix, n):
@@ -58,15 +59,6 @@ class QuadricForm:
                 if self.matrix[i][j]:
                     acc = acc + self.matrix[i][j] * xs[i] * xs[j]
         return acc
-
-
-@dataclass(frozen=True)
-class ConicForm:
-    """Symmetric 3x3 rational form."""
-    matrix: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _symmetric_matrix(self.matrix, 3))
 
 
 def twisted_cubic():
@@ -111,23 +103,12 @@ def net_matrix():
     return rows
 
 
-@lru_cache(maxsize=None)
-def net_determinant_conic():
-    """det of the net: (quartic, conic with quartic = conic^2, is_square)."""
-    quartic = determinant(net_matrix())
-    root = homogeneous_sqrt(quartic, "l1")
-    if root is None:
-        raise StructureError("net determinant is not a perfect square")
-    coeffs = {}
-    for i, vi in enumerate(L_VARS):
-        for j, vj in enumerate(L_VARS):
-            expo = [0, 0, 0]
-            expo[i] += 1
-            expo[j] += 1
-            coeffs[(i, j)] = root.coefficient(tuple(expo))
-    matrix = [[coeffs[(i, j)] if i == j else coeffs[(min(i, j), max(i, j))] / 2
-               for j in range(3)] for i in range(3)]
-    return quartic, ConicForm(tuple(tuple(r) for r in matrix)), True
+def net_determinant_identity():
+    """Exact: the net's determinant is the Veronese conic squared, over 16."""
+    l0, l1, l2 = ring(*L_VARS)
+    if determinant(net_matrix()) != Fraction(1, 16) * (l0 * l2 - l1 ** 2) ** 2:
+        raise StructureError(f"the net fails {NET_DETERMINANT}")
+    return True
 
 
 def gamma_tilde(t):
@@ -421,7 +402,7 @@ def express_p_in_quadrics():
                 check = check + m[i][j] * qs[i] * qs[j]
     if check != p_x:
         raise StructureError("net expression for P failed verification")
-    return ConicForm(tuple(tuple(r) for r in m))
+    return tuple(tuple(r) for r in m)
 
 
 def adjugate(g):
@@ -468,8 +449,7 @@ def developable_map_checks():
              for name, f in (("beta", beta), ("u", u), ("v", v))}
     if image["beta"] != 64 * s1 ** 3 or image["u"] != 12 * s1 * s1 or image["v"] != 3 * s1:
         raise StructureError("rank-drop image is not (64 s^3, 12 s^2, 3 s)")
-    return {"on_surface": True, "rank_locus": "w + 2s = 0",
-            "image": "(64 s^3, 12 s^2, 3 s)"}
+    return True
 
 
 def gradient_vanishing_on_cuspidal_curve():
@@ -478,14 +458,12 @@ def gradient_vanishing_on_cuspidal_curve():
     (s,) = ring("s")
     gamma = {"u": 12 * s * s, "v": 3 * s, "alpha": MPoly.constant(1, ("s",)),
              "beta": 64 * s ** 3}
-    results = {}
     for name in ("u", "v", "alpha", "beta"):
         if not p.partial(name).compose(gamma, ("s",)).is_zero():
             raise StructureError(f"dP/d{name} does not vanish on Gamma")
-        results[name] = True
     if not p.compose(gamma, ("s",)).is_zero():
         raise StructureError("Gamma is not on P")
-    return results
+    return True
 
 
 def tangent_surface_identity():

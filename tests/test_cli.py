@@ -164,6 +164,31 @@ def test_a_breakdown_under_out_svg_prints_its_report(capsys):
     assert check["witness"]["exception"] == "RootFindingError"
 
 
+def test_text_mode_prints_the_witness_of_a_failed_check(capsys):
+    code, out = run_cli(capsys, "critical-values", "--shear", "1/100000000000",
+                        "--out", "text")
+    assert code == 1
+    assert out.splitlines()[0] == "== critical-values"
+    prefix = "[FAIL] total_order_ten "
+    [line] = [l for l in out.splitlines() if l.startswith("[")]
+    assert line.startswith(prefix)
+    witness = json.loads(line[len(prefix):])
+    assert witness["exception"] == "RootFindingError" and witness["message"]
+    code, out = run_cli(capsys, "critical-values", "--shear", "1/100", "--out", "text")
+    assert code == 0
+    assert out.splitlines()[-1] == "[PASS] total_order_ten"
+
+
+def test_an_overflowing_fiber_table_names_its_stage_and_center(capsys):
+    code, out = run_cli(capsys, "monodromy", "--basepoint=1e300")
+    assert code == 1
+    [check] = _strict_json(out)["checks"]
+    assert check["witness"] == {
+        "exception": "OverflowError",
+        "message": "fiber Taylor coefficients at center x = 1e+300 "
+                   "overflow double precision"}
+
+
 def test_a_real_fiber_is_solved_once(capsys, monkeypatch):
     calls = []
     solve = quartic.fiber_solve
@@ -278,6 +303,20 @@ def test_a_raising_surface_step_is_a_failed_check(capsys, monkeypatch):
     assert code == 1
     [step] = [c for c in json.loads(out)["checks"] if not c["pass"]]
     assert step == {"name": "tangent_surface", "pass": False, "witness": witness}
+
+
+def test_a_doubled_net_fails_the_determinant_identity(capsys, monkeypatch):
+    # det(2 l.Q) = (l0 l2 - l1^2)^2 is still a square, but not the printed identity
+    net = surface.net_matrix
+    monkeypatch.setattr(surface, "net_matrix",
+                        lambda: [[2 * e for e in row] for row in net()])
+    code, out = run_cli(capsys, "surface-checks")
+    assert code == 1
+    [step] = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert step["name"] == "det_conic_square"
+    assert step["witness"] == {
+        "exception": "StructureError",
+        "message": "the net fails det(l.Q) = (1/16)(l0 l2 - l1^2)^2"}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-infj", "x"])

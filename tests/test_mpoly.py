@@ -5,10 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspidal.mpoly import (
-    MPoly, VariableMismatchError, determinant, homogeneous_sqrt,
-    resultant, ring,
-)
+from cuspidal.mpoly import MPoly, VariableMismatchError, determinant, resultant, ring
 
 
 def _random_poly(rng, variables, max_deg=3, nterms=4):
@@ -222,15 +219,6 @@ def test_canonical_str_is_stable():
     s = delta.canonical_str()
     assert s == "-u^2*v^2 + u^3 + v^3 - 9/8*u*v + 27/256"
     assert MPoly.zero(("u",)).canonical_str() == "0"
-
-
-def test_homogeneous_sqrt_roundtrip():
-    x, y, z = ring("x", "y", "z")
-    q = x * y - 4 * z * z + Fraction(1, 3) * y * y
-    assert homogeneous_sqrt(q * q, "y") == q or homogeneous_sqrt(q * q, "y") == -q
-    got = homogeneous_sqrt(q * q, "y")
-    assert got * got == q * q
-    assert homogeneous_sqrt(x * y, "x") is None
 
 
 def test_content_and_primitive():
