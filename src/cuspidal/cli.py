@@ -233,12 +233,21 @@ def cmd_coset_order(args):
         p = groups.add_projective_relation(p)
     order = groups.todd_coxeter(p, max_cosets=args.max_cosets)
     ab = groups.abelianization(p)
-    consistent = (order == groups.OVERFLOW) if 0 in ab else (
-        order != groups.OVERFLOW and all(order % t == 0 for t in ab if t))
+    witness = {"order": order, "abelianization": ab}
+    if 0 in ab:
+        # todd_coxeter decided 'overflow' from the free rank without
+        # enumerating; the witness is a map onto Z, checked on every relator
+        images = groups.map_onto_z(p)
+        consistent = (order == groups.OVERFLOW and images is not None
+                      and math.gcd(*images) == 1
+                      and not any(sum(a * b for a, b in zip(row, images))
+                                  for row in groups.exponent_sums(p)))
+        witness.update(decided_by="free_rank", map_onto_z=images)
+    else:  # enumerated: the order is a multiple of every invariant factor
+        consistent = order != groups.OVERFLOW and all(order % t == 0 for t in ab if t)
     results = {"presentation": args.presentation, "order": order,
                "abelianization": ab}
-    return results, [("consistent_with_abelianization", consistent,
-                      {"order": order, "abelianization": ab})]
+    return results, [("consistent_with_abelianization", consistent, witness)]
 
 
 def cmd_surface_checks(args):

@@ -145,9 +145,12 @@ def cauchy_bound(p):
 
 
 def rational_roots(p):
-    """All rational roots of a squarefree p (denominators up to 10^6),
-    found by Sturm isolation plus bounded-denominator reconstruction.
-    A candidate counts only inside its own isolating interval.
+    """All rational roots of a squarefree p, decided exactly.
+
+    A root k/q of the primitive integer form of p has q dividing its
+    leading coefficient lead, so it lies on the grid Z/lead.  Each Sturm
+    interval is refined until (lo, hi] holds at most one grid point, and
+    that point is tested by its exact sign.
     Returns (roots, cofactor with those roots divided out)."""
     p = trim(p)
     found = []
@@ -155,15 +158,14 @@ def rational_roots(p):
         return found, p
     if degree(p) == 1:
         return [-p[0] / p[1]], [p[1]]
+    q = _chain(p)[0]
+    lead = abs(q[-1])
     b = cauchy_bound(p) + 1
     for lo, hi in isolate_roots(p, -b, b):
-        lo2, hi2 = refine_root(p, lo, hi, Fraction(1, 10 ** 8))
-        mid = (lo2 + hi2) / 2
-        for max_den in (8, 64, 4096, 10 ** 6):
-            cand = mid.limit_denominator(max_den)
-            if lo < cand <= hi and sign_at(p, cand) == 0:
-                found.append(cand)
-                break
+        lo, hi = refine_root(p, lo, hi, Fraction(1, lead))
+        cand = Fraction(hi.numerator * lead // hi.denominator, lead)
+        if cand > lo and _sign_int(q, cand) == 0:
+            found.append(cand)
     for root in found:
         p, r = divmod_exact(p, [-root, Fraction(1)])
         assert not r

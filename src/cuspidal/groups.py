@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .braids import artin_action, cyclic_reduce, free_reduce, word_inverse
-from .linalg import invariant_factors
+from .linalg import invariant_factors, nullspace
 
 OVERFLOW = "overflow"
 TIETZE_STEPS = 200
@@ -105,15 +105,37 @@ def add_projective_relation(p):
 
 # -- abelianization --------------------------------------------------------------
 
-def abelianization(p):
-    """Invariant factors of the abelianized group; 0 marks a free factor."""
+def exponent_sums(p):
+    """One row per relator: the exponent sum of each generator in it."""
     rows = []
     for r in p.relators:
         row = [0] * p.n_generators
         for g in r:
             row[abs(g) - 1] += 1 if g > 0 else -1
         rows.append(row)
-    return invariant_factors(rows, p.n_generators)
+    return rows
+
+
+def abelianization(p):
+    """Invariant factors of the abelianized group; 0 marks a free factor."""
+    return invariant_factors(exponent_sums(p), p.n_generators)
+
+
+def map_onto_z(p):
+    """Images of the generators under a homomorphism onto Z, or None.
+
+    A rational kernel vector of the exponent-sum matrix, scaled to a
+    primitive integer vector: every relator then has image 0, and the
+    images have gcd 1.  It exists exactly when the abelianization has a
+    free factor.
+    """
+    kernel = nullspace(exponent_sums(p) or [[0] * p.n_generators])
+    if not kernel:
+        return None
+    den = math.lcm(*(x.denominator for x in kernel[0]))
+    ints = [int(x * den) for x in kernel[0]]
+    g = math.gcd(*ints)
+    return [x // g for x in ints]
 
 
 # -- Todd-Coxeter -----------------------------------------------------------------
@@ -233,11 +255,30 @@ def _tc_run(p, max_cosets):
     return table, parent
 
 
+def _enumerate(p, max_cosets):
+    """(_tc_run's result, the abelianization), deciding infinite groups first.
+
+    A free factor in the abelianization maps the group onto Z, so the group
+    is infinite and no coset table of the trivial subgroup closes, whatever
+    the bound (Holt, Eick & O'Brien, *Handbook of Computational Group
+    Theory*, §5 and §9).  Such a presentation gets None, the result the
+    enumeration gives at every bound, without a table being built; every
+    other presentation is enumerated.
+    """
+    ab = abelianization(p)
+    return (None if 0 in ab else _tc_run(p, max_cosets)), ab
+
+
 def todd_coxeter(p, max_cosets=100000):
-    """Group order by coset enumeration, or the string 'overflow'."""
+    """Group order by coset enumeration, or the string 'overflow'.
+
+    'overflow' means either that max_cosets cosets were defined and another
+    was needed, or, decided at once without enumerating, that the
+    abelianization has a free factor, so the group is infinite.
+    """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
-    result = _tc_run(p, max_cosets)
+    result, _ = _enumerate(p, max_cosets)
     if result is None:
         return OVERFLOW
     _, parent = result
@@ -248,11 +289,15 @@ def coset_action(p, max_cosets=100000):
     """Permutation action of the generators on the cosets (the regular action).
 
     Returns (order, perms) with perms[k] the 0-based permutation tuple of
-    generator k+1; raises on overflow.  The completed table is verified:
-    every relator acts trivially.
+    generator k+1.  Raises at once when the abelianization has a free
+    factor (the group is infinite), naming it, and otherwise on overflow.
+    The completed table is verified: every relator acts trivially.
     """
-    result = _tc_run(p, max_cosets)
+    result, ab = _enumerate(p, max_cosets)
     if result is None:
+        if 0 in ab:
+            raise RuntimeError(f"the group is infinite: its abelianization {ab} "
+                               "has a free factor")
         raise RuntimeError(f"coset enumeration overflowed at {max_cosets}")
     table, parent = result
     w = 2 * p.n_generators

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import exactpoly as xp
 from .mpoly import MPoly, bareiss, determinant, resultant, ring, sylvester_matrix
-from .roots import ApproxRoot, roots_univariate
+from .roots import ApproxRoot, overlap_error, overlapping, root_disks
 
 PLANE_VARS = ("x", "y", "z")
 AFFINE_VARS = ("x", "y")
@@ -387,7 +387,9 @@ def critical_values(curve, shear=Fraction(0)):
     Yun's squarefree decomposition, whose gcds are integer pseudo-remainder
     sequences, so rational critical values come out exactly with certified
     orders and the remaining ones are simple roots of exact squarefree
-    factors, found numerically with tiny certificates.  Roots of different
+    factors, found numerically with tiny certificates (a near-real
+    conjugate pair whose disks overlap is decided by an exact Sturm
+    count, see ``_cofactor_values``).  Roots of different
     Yun factors are distinct, and so are the roots of one squarefree factor,
     so every value is listed once with its own order, sorted by (real, imag).
     """
@@ -399,12 +401,47 @@ def critical_values(curve, shear=Fraction(0)):
         rational, cofactor = xp.rational_roots(factor)
         out.extend((complex(q), mult) for q in rational)
         if xp.degree(cofactor) >= 1:
-            for r in roots_univariate([float(c) for c in cofactor]):
-                value = r.value
-                if abs(value.imag) < 1e-10 * max(1.0, abs(value)):
-                    value = complex(value.real, 0.0)  # conjugate-symmetric snap
-                out.append((value, mult))
+            out.extend((v, mult) for v in _cofactor_values(cofactor))
     return sorted(out, key=lambda s: (s[0].real, s[0].imag))
+
+
+def _cofactor_values(cofactor):
+    """The roots of an exact squarefree polynomial, each in its own
+    certified disk, the disks disjoint except for one exact decision.
+
+    Two overlapping disks about a near-real conjugate pair are replaced by
+    D(z, r) and D(conj z, r), with z the upper root and r the larger
+    radius.  When these overlap only each other and Sturm counts no real
+    root of the cofactor in [Re z - r, Re z + r], the root in D(z, r) is
+    not real, so its conjugate, a different root, lies in D(conj z, r): the
+    pair holds two distinct roots.  Every other overlap raises, as in
+    roots_univariate.  Roots outside such pairs whose imaginary part is
+    below 1e-10 relative are snapped to the real axis.
+    """
+    found = root_disks([float(c) for c in cofactor])
+    decided = {}
+    for i, j in overlapping(found):
+        if i in decided or j in decided:
+            continue
+        z = max(found[i].value, found[j].value, key=lambda v: v.imag)
+        r = max(found[i].radius, found[j].radius)
+        if z.imag <= 0 or not math.isfinite(r):
+            continue
+        lo, hi = Fraction(z.real) - Fraction(r), Fraction(z.real) + Fraction(r)
+        if xp.sign_at(cofactor, lo) == 0 or xp.isolate_roots(cofactor, lo, hi):
+            continue
+        found[i], found[j] = ApproxRoot(z, r), ApproxRoot(z.conjugate(), r)
+        decided[i], decided[j] = j, i
+    for i, j in overlapping(found):
+        if decided.get(i) != j:
+            raise overlap_error(found[i], found[j])
+    values = []
+    for k, root in enumerate(found):
+        value = root.value
+        if k not in decided and abs(value.imag) < 1e-10 * max(1.0, abs(value)):
+            value = complex(value.real, 0.0)  # conjugate-symmetric snap
+        values.append(value)
+    return values
 
 
 # -- flexes and cusps -----------------------------------------------------------

@@ -127,13 +127,10 @@ def _certified_radius(coeffs, z):
     return r if math.isfinite(r) else math.inf
 
 
-def roots_univariate(coeffs):
-    """All complex roots of an ascending coefficient list, with certified radii.
-
-    The roots must be simple: inclusion disks that overlap (a multiple root
-    or an unresolved cluster) raise RootFindingError.  Exact zero roots are
-    peeled off symbolically first.
-    """
+def root_disks(coeffs):
+    """All complex roots of an ascending coefficient list, with certified
+    radii, in no particular order; the disks are not checked to be
+    disjoint.  Exact zero roots are peeled off symbolically first."""
     coeffs = [complex(c) for c in coeffs]
     if not coeffs or coeffs[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
@@ -155,10 +152,28 @@ def roots_univariate(coeffs):
         found = [ApproxRoot(z, _certified_radius(coeffs, z)) for z in approx]
     if zero_mult:
         found.append(ApproxRoot(0j, 0.0))
-    for i in range(len(found)):
-        for j in range(i + 1, len(found)):
-            if found[i].overlaps(found[j]):
-                raise RootFindingError(
-                    f"roots {found[i].value:.6g} and {found[j].value:.6g} "
-                    "have overlapping certificates")
+    return found
+
+
+def overlapping(found):
+    """Index pairs (i, j), i < j, of disks that overlap."""
+    return [(i, j) for i in range(len(found)) for j in range(i + 1, len(found))
+            if found[i].overlaps(found[j])]
+
+
+def overlap_error(a, b):
+    return RootFindingError(
+        f"roots {a.value:.6g} and {b.value:.6g} have overlapping certificates")
+
+
+def roots_univariate(coeffs):
+    """All complex roots of an ascending coefficient list, with certified radii.
+
+    The roots must be simple: inclusion disks that overlap (a multiple root
+    or an unresolved cluster) raise RootFindingError.  Exact zero roots are
+    peeled off symbolically first.
+    """
+    found = root_disks(coeffs)
+    for i, j in overlapping(found):
+        raise overlap_error(found[i], found[j])
     return sorted(found, key=lambda r: (r.value.real, r.value.imag))

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from cuspidal import checks, cli, quartic, surface
+from cuspidal import checks, cli, groups, quartic, surface
 from cuspidal.bidouble import StructureError
 from cuspidal.cli import main
 
@@ -89,7 +89,21 @@ def test_coset_order_affine_overflow(capsys):
     code, out = run_cli(capsys, "coset-order", "--presentation", "affine",
                         "--max-cosets", "2000")
     assert code == 0
-    assert json.loads(out)["results"]["order"] == "overflow"
+    data = json.loads(out)
+    assert data["results"]["order"] == "overflow"
+    # decided from the free rank, not enumerated; the map onto Z is the witness
+    assert data["checks"] == [{"name": "consistent_with_abelianization", "pass": True,
+                               "witness": {"order": "overflow", "abelianization": [0],
+                                           "decided_by": "free_rank",
+                                           "map_onto_z": [1, 1, 1, 1]}}]
+
+
+def test_coset_order_checks_the_map_onto_z_on_every_relator(capsys, monkeypatch):
+    # a1 -> 1, the rest -> 0 does not kill b2 b1 b2^-1 a1^-1
+    monkeypatch.setattr(groups, "map_onto_z", lambda p: [1, 0, 0, 0])
+    code, out = run_cli(capsys, "coset-order", "--presentation", "affine")
+    assert code == 1
+    assert json.loads(out)["checks"][0]["pass"] is False
 
 
 @pytest.mark.parametrize("limit", ["0", "-5"])

@@ -185,6 +185,15 @@ def test_rational_roots_keep_each_candidate_in_its_interval():
     assert xp.rational_roots(p) == ([Fraction(19, 40), Fraction(1, 2)], [Fraction(1)])
 
 
+def test_rational_roots_find_a_denominator_above_a_million():
+    # (1234567x - 1)(x^2 + 1): the root's denominator divides the leading
+    # coefficient, so refining to the grid Z/1234567 decides it
+    p = xp.mul([Fraction(-1), Fraction(1234567)], [Fraction(1), Fraction(0), Fraction(1)])
+    found, cofactor = xp.rational_roots(p)
+    assert found == [Fraction(1, 1234567)]
+    assert cofactor == [Fraction(1234567), Fraction(0), Fraction(1234567)]
+
+
 def test_rational_roots_of_a_linear_polynomial_leave_its_leading_coefficient():
     assert xp.rational_roots([Fraction(3), Fraction(2)]) == ([Fraction(-3, 2)], [Fraction(2)])
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,9 +11,10 @@ from cuspidal.braids import (
 )
 from cuspidal.groups import (
     OVERFLOW, Presentation, abelianization, add_projective_relation,
-    coset_action, count_homs, enumerate_homs_to_sym, perm_word,
-    same_relator, tietze_simplify, todd_coxeter, van_kampen,
+    coset_action, count_homs, enumerate_homs_to_sym, exponent_sums, map_onto_z,
+    perm_word, same_relator, tietze_simplify, todd_coxeter, van_kampen,
 )
+from cuspidal import groups
 from cuspidal.groups import _tc_run, _transitive
 
 GEN_NAMES = ("a1", "a2", "b2", "b1")
@@ -104,6 +106,52 @@ def test_todd_coxeter_projective_order_12():
 
 def test_todd_coxeter_affine_overflows():
     assert todd_coxeter(affine_presentation(), max_cosets=2000) == OVERFLOW
+
+
+def test_a_free_abelianization_decides_overflow_without_enumerating(monkeypatch):
+    def enumerate_nothing(p, max_cosets):
+        raise AssertionError("an infinite group was enumerated")
+
+    monkeypatch.setattr(groups, "_tc_run", enumerate_nothing)
+    assert todd_coxeter(affine_presentation(), max_cosets=10 ** 7) == OVERFLOW
+    with pytest.raises(RuntimeError, match=r"abelianization \[0\] has a free factor"):
+        coset_action(affine_presentation(), max_cosets=10 ** 7)
+
+
+def test_the_enumerator_itself_still_overflows_on_a_finite_abelianization():
+    # <x | x^100>: abelianization [100], so the table is enumerated and runs out
+    c100 = Presentation(("x",), ((1,) * 100,))
+    assert abelianization(c100) == [100]
+    assert todd_coxeter(c100, max_cosets=50) == OVERFLOW
+    with pytest.raises(RuntimeError, match="coset enumeration overflowed at 50"):
+        coset_action(c100, max_cosets=50)
+    assert todd_coxeter(c100, max_cosets=100) == 100
+
+
+@st.composite
+def small_presentations(draw):
+    g = draw(st.integers(1, 3))
+    letter = st.integers(-g, g).filter(bool)
+    relators = draw(st.lists(st.lists(letter, min_size=1, max_size=6),
+                             min_size=1, max_size=3))
+    return Presentation(tuple(f"g{k}" for k in range(1, g + 1)),
+                        tuple(tuple(r) for r in relators))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_presentations())
+def test_a_free_factor_means_the_enumeration_never_closes(p):
+    raw = _tc_run(p, 500)
+    images = map_onto_z(p)
+    if 0 in abelianization(p):
+        assert raw is None
+        assert images is not None and math.gcd(*images) == 1
+        assert all(sum(a * b for a, b in zip(row, images)) == 0
+                   for row in exponent_sums(p))
+    else:
+        assert images is None
+    order = OVERFLOW if raw is None else sum(1 for c, r in enumerate(raw[1]) if c == r)
+    assert todd_coxeter(p, max_cosets=500) == order
 
 
 # (presentation, group order); the relators are rewritten by relabeled()

@@ -413,6 +413,28 @@ def test_critical_values_of_a_quintic_at_the_rounding_floor():
         assert min(abs(v.conjugate() - w) for w, _ in vals) < 1e-9 * max(1.0, abs(v))
 
 
+def test_critical_values_decide_a_near_real_conjugate_pair():
+    # a random quintic whose Disc_y has a conjugate pair -2.297 +- 5.1e-7i:
+    # the two certified disks overlap, and an exact Sturm count finds no
+    # real root under them, so they hold two distinct roots
+    terms = {(0, 2): -1, (0, 3): -2, (0, 4): 2, (0, 5): 1, (1, 0): -1, (1, 1): 1,
+             (1, 3): -1, (1, 4): -2, (2, 0): -2, (2, 2): 1, (2, 3): 1, (3, 0): 1,
+             (3, 1): 1, (3, 2): 2, (4, 0): 2, (4, 1): 2, (5, 0): -2}
+    curve = PlaneCurve(MPoly(("x", "y"), {k: Fraction(c) for k, c in terms.items()}))
+    vals = critical_values(curve)
+    disc = discriminant_poly(curve).univariate_coeffs("x")
+    assert [m for _, m in vals] == [1] * xp.degree(disc) == [1] * 20
+    [low, high] = [v for v, _ in vals if abs(v + 2.297) < 1e-3]
+    assert low == high.conjugate() and 4e-7 < high.imag < 6e-7
+    assert xp.isolate_roots(disc, -3, -2) == []
+    if mpmath is not None:  # the pair at 60 digits, 3e-10 from the floats
+        with mpmath.workdps(60):
+            exact = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                      for c in reversed(disc)], maxsteps=400, extraprec=400)
+            for v in (low, high):
+                assert min(abs(t - mpmath.mpc(v)) for t in exact) < 1e-9
+
+
 def test_sheared_curve_is_exact_substitution():
     curve = cuspidal_quartic()
     sheared = sheared_curve(curve, Fraction(1, 100))
