@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 
 def trim(p):
@@ -25,26 +26,8 @@ def degree(p):
     return len(p) - 1
 
 
-def is_zero(p):
-    return not p
-
-
-def add(p, q):
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
-def neg(p):
-    return [-c for c in p]
-
-
 def sub(p, q):
-    return add(p, neg(q))
+    return trim([a - b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def mul(p, q):
@@ -59,30 +42,20 @@ def mul(p, q):
     return trim(out)
 
 
-def scale(p, c):
-    c = Fraction(c)
-    return trim([a * c for a in p])
-
-
 def divmod_exact(p, q):
     """Polynomial division with remainder over Q."""
     if not q:
         raise ZeroDivisionError("division by the zero polynomial")
-    r = list(p)
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq = len(q) - 1
-    lc = q[-1]
-    while len(r) - 1 >= dq and trim(r):
-        r = trim(r)
-        if len(r) - 1 < dq:
-            break
-        k = len(r) - 1 - dq
-        f = r[-1] / lc
+    r = trim(p)
+    quot = [Fraction(0)] * max(len(r) - len(q) + 1, 0)
+    while len(r) >= len(q):
+        k, f = len(r) - len(q), r[-1] / q[-1]
         quot[k] = f
         for i, b in enumerate(q):
             r[k + i] -= f * b
-        r.pop()
-    return trim(quot), trim(r)
+        while r and r[-1] == 0:
+            r.pop()
+    return trim(quot), r
 
 
 def derivative(p):
@@ -90,9 +63,7 @@ def derivative(p):
 
 
 def monic(p):
-    if not p:
-        return p
-    return scale(p, Fraction(1) / p[-1])
+    return trim([c / Fraction(p[-1]) for c in p]) if p else p
 
 
 def gcd(p, q):
@@ -145,31 +116,54 @@ def cauchy_bound(p):
 
 
 def rational_roots(p):
-    """All rational roots of a squarefree p, decided exactly.
-
-    A root k/q of the primitive integer form of p has q dividing its
-    leading coefficient lead, so it lies on the grid Z/lead.  Each Sturm
-    interval is refined until (lo, hi] holds at most one grid point, and
-    that point is tested by its exact sign.
-    Returns (roots, cofactor with those roots divided out)."""
+    """All real roots of a nonzero squarefree p from one Sturm isolation,
+    ascending: the rational ones, and an interval (lo, hi) about each
+    irrational one.  A root k/q of the primitive integer form of p has q
+    dividing its leading coefficient lead, so it lies on the grid Z/lead:
+    each Sturm interval is refined until (lo, hi] holds at most one grid
+    point, which is tested by its exact sign."""
     p = trim(p)
-    found = []
-    if degree(p) < 1:
-        return found, p
-    if degree(p) == 1:
-        return [-p[0] / p[1]], [p[1]]
     q = _chain(p)[0]
     lead = abs(q[-1])
     b = cauchy_bound(p) + 1
+    found, brackets = [], []
     for lo, hi in isolate_roots(p, -b, b):
         lo, hi = refine_root(p, lo, hi, Fraction(1, lead))
         cand = Fraction(hi.numerator * lead // hi.denominator, lead)
         if cand > lo and _sign_int(q, cand) == 0:
             found.append(cand)
-    for root in found:
-        p, r = divmod_exact(p, [-root, Fraction(1)])
-        assert not r
-    return found, p
+        else:
+            brackets.append((lo, hi))
+    return found, brackets
+
+
+def nearest_float(p, lo, hi, guess):
+    """The float nearest to the irrational root of p in (lo, hi), its only
+    root in (lo, hi]: the sign of p's squarefree part q changes between the
+    float's half-ulp neighbours.  Each candidate is an exact Newton step
+    from the last (from the guess at first) when that lies in (lo, hi),
+    else the midpoint; a failed one narrows (lo, hi) past its half-ulp
+    neighbour.  After two Newton steps only midpoints are taken."""
+    q, dq = _chain(p)[:2]
+    s_hi = _sign_int(q, hi)  # q(x) has this sign exactly when the root < x < hi
+    f, newton = guess, 2
+    while True:
+        x = (lo + hi) / 2
+        if newton and math.isfinite(f):
+            newton -= 1
+            n, d = f.as_integer_ratio()
+            slope = horner(dq, n, d)  # d^(deg - 1) q'(f)
+            step = Fraction(n * slope - horner(q, n, d), d * slope) if slope else x
+            x = step if lo < step < hi else x
+        f = float(x)
+        below, beyond = ((Fraction(f) + Fraction(math.nextafter(f, s))) / 2
+                         for s in (-math.inf, math.inf))
+        if lo < below and _sign_int(q, below) == s_hi:
+            hi = below
+        elif beyond < hi and _sign_int(q, beyond) != s_hi:
+            lo = beyond
+        else:
+            return f
 
 
 # -- integer signs ---------------------------------------------------------------
@@ -187,14 +181,18 @@ def _integer_form(p):
     return tuple(c // g for c in ints)
 
 
-def _sign_int(q, x):
-    """Sign of the integer polynomial q at the rational x = n/d (d > 0), from
-    the sign of sum q_i n^i d^(deg - i), by homogeneous Horner on ints."""
-    n, d = x.numerator, x.denominator
+def horner(q, n, d=1):
+    """d^deg q(n/d) = sum q_i n^i d^(deg - i) for the integer polynomial q."""
     acc, dk = 0, 1
     for c in reversed(q):
         acc = acc * n + c * dk
         dk *= d
+    return acc
+
+
+def _sign_int(q, x):
+    """Sign of the integer polynomial q at the rational x = n/d (d > 0)."""
+    acc = horner(q, x.numerator, x.denominator)
     return (acc > 0) - (acc < 0)
 
 

@@ -108,7 +108,7 @@ def build_loops(criticals, basepoint, circle_steps=32):
     reals = []
     for value, mult in criticals:
         value = complex(value)
-        if abs(value.imag) > 1e-9:
+        if value.imag != 0:
             raise SweepError(f"critical value {value} is not real; "
                              "loop construction expects the real configuration")
         reals.append((value.real, mult))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import exactpoly as xp
 from .mpoly import MPoly, bareiss, determinant, resultant, ring, sylvester_matrix
-from .roots import ApproxRoot, overlap_error, overlapping, root_disks
+from .roots import ApproxRoot, RootFindingError, root_disks
 
 PLANE_VARS = ("x", "y", "z")
 AFFINE_VARS = ("x", "y")
@@ -203,11 +203,8 @@ def fiber_solve(curve, x0):
     doubles both root pairs, and B(x0) = 0 gives the root y = 0 with
     multiplicity 2.  The values come without cancellation: each exact value
     is rounded once, the larger z-root takes -A and -sqrt(Theta) in one half
-    plane, and the smaller is B over the larger.  Each radius is
-    4|p(y)|/|p'(y)| for the fiber polynomial p evaluated exactly at the float
-    root y, rounded up: the disk about y holds a root of p (Rump, Ten methods
-    to bound multiple roots of polynomials, 2003).  It is 0 where p(y) = 0
-    and inf where p'(y) = 0.
+    plane, and the smaller is B over the larger.  Each radius is the
+    exact ``_inclusion_radius`` of the fiber polynomial at the root.
 
     Raises CurveError for a curve whose fiber is not biquadratic, and
     OverflowError when A(x0), B(x0), Theta(x0) or the roots leave double
@@ -233,38 +230,50 @@ def fiber_solve(curve, x0):
     values += [(0j, 2 * mult)] if zero else []
     if not all(cmath.isfinite(v) for v, _ in values):
         raise OverflowError(f"fiber roots over x = {x0} overflow double precision")
-    out = [ApproxRoot(v, _residual_radius(exact, v), m) for v, m in values]
+    fiber = [exact[1], (0, 0), exact[0], (0, 0), (1, 0)]  # y^4 + a y^2 + b
+    out = [ApproxRoot(v, _inclusion_radius(fiber, v), m) for v, m in values]
     out.sort(key=lambda r: (r.value.real, r.value.imag))
     return out
 
 
+def _gaussian_horner(coeffs, z):
+    """(P, Q, s) with p(z) = P/s and p'(z) = Q/s exactly, P and Q Gaussian
+    integers (re, im), for ascending Gaussian rational coefficients (re, im)
+    of p and the complex float z = (u + iv)/d: Horner on Python ints."""
+    den = math.lcm(*(c.denominator for pair in coeffs for c in pair))
+    x, y = Fraction(z.real), Fraction(z.imag)
+    d = max(x.denominator, y.denominator)  # both powers of two
+    u, v = x.numerator * (d // x.denominator), y.numerator * (d // y.denominator)
+    pr = pi = qr = qi = 0
+    dk = den
+    for cr, ci in reversed(coeffs):  # p <- p z + c and p' <- p' z + p, times powers of d
+        qr, qi = qr * u - qi * v + pr, qr * v + qi * u + pi
+        pr, pi = (pr * u - pi * v + cr.numerator * (dk // cr.denominator),
+                  pr * v + pi * u + ci.numerator * (dk // ci.denominator))
+        dk *= d
+    s = dk // d
+    return (pr, pi), (qr * d, qi * d), s
+
+
 def _gaussian_value(poly, x0):
     """Exact (real, imaginary) parts of the polynomial in x at the complex
-    float x0, whose parts are dyadic rationals: Horner over Q(i)."""
-    x = complex(x0)
-    re, im = Fraction(x.real), Fraction(x.imag)
-    acc_re = acc_im = Fraction(0)
-    for c in reversed(poly.univariate_coeffs("x")):
-        acc_re, acc_im = acc_re * re - acc_im * im + c, acc_re * im + acc_im * re
-    return acc_re, acc_im
+    float x0."""
+    (pr, pi), _, s = _gaussian_horner([(c, 0) for c in poly.univariate_coeffs("x")],
+                                      complex(x0))
+    return Fraction(pr, s), Fraction(pi, s)
 
 
-def _residual_radius(exact, y):
-    """4|p(y)|/|p'(y)| rounded up, for p = y^4 + a y^2 + b with the exact
-    Gaussian rationals (a, b), evaluated exactly at the complex float y."""
-    (ar, ai), (br, bi) = exact
-    yr, yi = Fraction(y.real), Fraction(y.imag)
-    sr, si = yr * yr - yi * yi, 2 * yr * yi  # y^2
-    tr, ti = sr + ar, si + ai  # p = y^2 t + b with t = y^2 + a
-    pr, pi = sr * tr - si * ti + br, sr * ti + si * tr + bi
-    ur, ui = tr + sr, ti + si  # p' = 2 y u with u = 2 y^2 + a
-    num = pr * pr + pi * pi
-    den = (yr * yr + yi * yi) * (ur * ur + ui * ui)
+def _inclusion_radius(coeffs, z):
+    """n|p(z)|/|p'(z)| for p of degree n (as in ``_gaussian_horner``), exact
+    and rounded up: the disk about z holds a root of p (Rump, Ten methods to
+    bound multiple roots of polynomials, 2003).  0 if p(z) = 0, inf if
+    p'(z) = 0."""
+    (pr, pi), (qr, qi), _ = _gaussian_horner(coeffs, z)
+    num, den = (len(coeffs) - 1) ** 2 * (pr * pr + pi * pi), qr * qr + qi * qi
     if not den:
         return math.inf if num else 0.0
-    q = 4 * num / den  # the squared radius, 16 |p|^2 / (4 |y|^2 |u|^2)
-    radius = math.sqrt(float(q))
-    while Fraction(radius) ** 2 < q:
+    radius = math.sqrt(num / den)  # num/den is the squared radius
+    while (r := radius.as_integer_ratio())[0] ** 2 * den < num * r[1] ** 2:
         radius = math.nextafter(radius, math.inf)
     return radius
 
@@ -344,7 +353,7 @@ def discriminant_poly(curve):
     nodes = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(bound + 1)]
     values = []
     for x in nodes:
-        at = [_horner(cs, x) for cs in polys]
+        at = [xp.horner(cs, x) for cs in polys]
         values.append(bareiss([[at[i] for i in row] for row in rows], operator.floordiv))
     coeffs = xp.trim(_interpolate(nodes, values))
     if not coeffs:
@@ -353,13 +362,6 @@ def discriminant_poly(curve):
     if coeffs[-1] < 0:
         g = -g
     return MPoly(("x",), {(i,): c / g for i, c in enumerate(coeffs) if c})
-
-
-def _horner(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _interpolate(nodes, values):
@@ -384,64 +386,68 @@ def critical_values(curve, shear=Fraction(0)):
     """Critical values of the sheared projection, with multiplicities.
 
     The exact discriminant (``discriminant_poly``, on integers) is split by
-    Yun's squarefree decomposition, whose gcds are integer pseudo-remainder
-    sequences, so rational critical values come out exactly with certified
-    orders and the remaining ones are simple roots of exact squarefree
-    factors, found numerically with tiny certificates (a near-real
-    conjugate pair whose disks overlap is decided by an exact Sturm
-    count, see ``_cofactor_values``).  Roots of different
-    Yun factors are distinct, and so are the roots of one squarefree factor,
-    so every value is listed once with its own order, sorted by (real, imag).
+    Yun's squarefree decomposition, so every order is exact, and each
+    factor's roots come from ``_factor_roots``.  Roots of different Yun
+    factors are distinct, and so are the roots of one squarefree factor, so
+    every value is listed once with its own order, sorted by (real, imag).
+    Two values that round to one float raise RootFindingError.
     """
-    sheared = sheared_curve(curve, shear)
-    disc = discriminant_poly(sheared)
-    coeffs = disc.univariate_coeffs("x")
-    out = []
-    for factor, mult in xp.squarefree_decomposition(coeffs):
-        rational, cofactor = xp.rational_roots(factor)
-        out.extend((complex(q), mult) for q in rational)
-        if xp.degree(cofactor) >= 1:
-            out.extend((v, mult) for v in _cofactor_values(cofactor))
-    return sorted(out, key=lambda s: (s[0].real, s[0].imag))
+    disc = discriminant_poly(sheared_curve(curve, shear)).univariate_coeffs("x")
+    out = sorted(((v, m) for f, m in xp.squarefree_decomposition(disc) for v in _factor_roots(f)),
+                 key=lambda s: (s[0].real, s[0].imag))
+    for (a, _), (b, _) in zip(out, out[1:]):
+        if a == b:
+            raise RootFindingError(f"two critical values round to {a}: they are "
+                                   f"less than {math.ulp(a.real):.3g} apart")
+    return out
 
 
-def _cofactor_values(cofactor):
-    """The roots of an exact squarefree polynomial, each in its own
-    certified disk, the disks disjoint except for one exact decision.
+def _factor_roots(factor):
+    """The roots of an exact squarefree polynomial p of degree n.
 
-    Two overlapping disks about a near-real conjugate pair are replaced by
-    D(z, r) and D(conj z, r), with z the upper root and r the larger
-    radius.  When these overlap only each other and Sturm counts no real
-    root of the cofactor in [Re z - r, Re z + r], the root in D(z, r) is
-    not real, so its conjugate, a different root, lies in D(conj z, r): the
-    pair holds two distinct roots.  Every other overlap raises, as in
-    roots_univariate.  Roots outside such pairs whose imaginary part is
-    below 1e-10 relative are snapped to the real axis.
+    The real roots come from one Sturm isolation: a rational root exactly,
+    an irrational one as its correctly rounded float (``nearest_float``,
+    from the nearest Aberth value).  A non-real pair is an Aberth value z,
+    Im z > 0, whose disk of radius r = n|p(z)|/|p'(z)|, exact and rounded
+    up, holds a root that is not real: the disk misses the real axis, or
+    Sturm counts no real root in [Re z - r, Re z + r].  Together with its
+    conjugate the disk must miss every pair accepted before, so the pairs
+    hold distinct roots.  The real roots and twice the pairs must add up to
+    n, else RootFindingError is raised.
     """
-    found = root_disks([float(c) for c in cofactor])
-    decided = {}
-    for i, j in overlapping(found):
-        if i in decided or j in decided:
-            continue
-        z = max(found[i].value, found[j].value, key=lambda v: v.imag)
-        r = max(found[i].radius, found[j].radius)
-        if z.imag <= 0 or not math.isfinite(r):
+    n = xp.degree(factor)
+    rational, brackets = xp.rational_roots(factor)
+    approx = [r.value for r in root_disks([float(c) for c in factor])] if len(rational) < n else []
+    values = [complex(q) for q in rational]
+    for lo, hi in brackets:
+        mid = float((lo + hi) / 2)
+        guess = min(approx, key=lambda z: abs(z - mid)).real
+        values.append(complex(xp.nearest_float(factor, lo, hi, guess)))
+    pairs = []
+    for z in sorted((z for z in approx if z.imag > 0), key=lambda z: -z.imag):
+        if len(values) + 2 * len(pairs) == n:
+            break
+        r = _inclusion_radius([(c, 0) for c in factor], z)
+        if not math.isfinite(r):
             continue
         lo, hi = Fraction(z.real) - Fraction(r), Fraction(z.real) + Fraction(r)
-        if xp.sign_at(cofactor, lo) == 0 or xp.isolate_roots(cofactor, lo, hi):
+        if z.imag <= r and (xp.sign_at(factor, lo) == 0 or xp.isolate_roots(factor, lo, hi)):
             continue
-        found[i], found[j] = ApproxRoot(z, r), ApproxRoot(z.conjugate(), r)
-        decided[i], decided[j] = j, i
-    for i, j in overlapping(found):
-        if decided.get(i) != j:
-            raise overlap_error(found[i], found[j])
-    values = []
-    for k, root in enumerate(found):
-        value = root.value
-        if k not in decided and abs(value.imag) < 1e-10 * max(1.0, abs(value)):
-            value = complex(value.real, 0.0)  # conjugate-symmetric snap
-        values.append(value)
-    return values
+        if all(_apart(z, u, r, s) for w, s in pairs for u in (w, w.conjugate())):
+            pairs.append((z, r))
+    if len(values) + 2 * len(pairs) != n:
+        raise RootFindingError(f"a squarefree factor of degree {n} has {len(values)} real "
+                               f"roots and only {len(pairs)} certified non-real pairs")
+    return values + [v for z, _ in pairs for v in (z, z.conjugate())]
+
+
+def _apart(z, w, r, s):
+    """|z - w| > r + s, exactly; the float distance settles all but
+    near-tangent disks."""
+    if abs(z - w) > 2 * (r + s):
+        return True
+    dx, dy = Fraction(z.real) - Fraction(w.real), Fraction(z.imag) - Fraction(w.imag)
+    return dx * dx + dy * dy > (Fraction(r) + Fraction(s)) ** 2
 
 
 # -- flexes and cusps -----------------------------------------------------------

@@ -155,17 +155,6 @@ def root_disks(coeffs):
     return found
 
 
-def overlapping(found):
-    """Index pairs (i, j), i < j, of disks that overlap."""
-    return [(i, j) for i in range(len(found)) for j in range(i + 1, len(found))
-            if found[i].overlaps(found[j])]
-
-
-def overlap_error(a, b):
-    return RootFindingError(
-        f"roots {a.value:.6g} and {b.value:.6g} have overlapping certificates")
-
-
 def roots_univariate(coeffs):
     """All complex roots of an ascending coefficient list, with certified radii.
 
@@ -174,6 +163,9 @@ def roots_univariate(coeffs):
     peeled off symbolically first.
     """
     found = root_disks(coeffs)
-    for i, j in overlapping(found):
-        raise overlap_error(found[i], found[j])
+    for i, a in enumerate(found):
+        for b in found[i + 1:]:
+            if a.overlaps(b):
+                raise RootFindingError(
+                    f"roots {a.value:.6g} and {b.value:.6g} have overlapping certificates")
     return sorted(found, key=lambda r: (r.value.real, r.value.imag))

@@ -183,11 +183,11 @@ def _frame_everywhere_independent(e1, e2):
                     deg1 = m1[1] + m2[1]  # power of t1 in the quartic
                     coeffs[deg1] += e1[a][k1] * e2[b][k2] - e1[b][k1] * e2[a][k2]
             minors.append(xp.trim(coeffs))
-    if all(xp.is_zero(m) for m in minors):
+    if not any(minors):
         return False
     g = []
     for m in minors:
-        if not xp.is_zero(m):
+        if m:
             g = xp.gcd(g, m) if g else xp.monic(m)
     if xp.degree(g) > 0:
         return False

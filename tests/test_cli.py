@@ -34,6 +34,14 @@ def test_critical_values_matches_golden(capsys):
     assert out == (FIXTURES / "critical_values_sheared.json").read_text()
 
 
+def test_critical_values_separate_split_cusp_values_at_a_tiny_shear(capsys):
+    code, out = run_cli(capsys, "critical-values", "--shear", "1/100000000000")
+    assert code == 0
+    values = json.loads(out)["results"]["critical_values"]
+    assert [v["order"] for v in values] == [3, 3, 1, 3]
+    assert values[0]["value"][0] < -1.125 < values[1]["value"][0]
+
+
 def test_determinism_same_argv_same_bytes(capsys):
     _, out1 = run_cli(capsys, "surface-checks", "--seed", "3")
     _, out2 = run_cli(capsys, "surface-checks", "--seed", "3")
@@ -154,7 +162,7 @@ def test_inputs_at_the_defaults_are_the_declared_options(capsys, monkeypatch, co
 
 
 @pytest.mark.parametrize("argv, check, exception", [
-    (["critical-values", "--shear", "1/100000000000"], "total_order_ten",
+    (["critical-values", "--shear", "1/100000000000000000000"], "total_order_ten",
      "RootFindingError"),
     (["monodromy", "--basepoint=1e300"], "braid_monodromy", "OverflowError"),
 ])
@@ -179,7 +187,7 @@ def test_a_breakdown_under_out_svg_prints_its_report(capsys):
 
 
 def test_text_mode_prints_the_witness_of_a_failed_check(capsys):
-    code, out = run_cli(capsys, "critical-values", "--shear", "1/100000000000",
+    code, out = run_cli(capsys, "critical-values", "--shear", "1/100000000000000000000",
                         "--out", "text")
     assert code == 1
     assert out.splitlines()[0] == "== critical-values"

@@ -6,6 +6,7 @@ point, as the module did before its signs moved to integers; isolating
 intervals and refinements must come out identical.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -173,29 +174,54 @@ def test_sign_at_matches_exact_evaluation(case, x):
 @given(polynomials(squarefree=True))
 def test_rational_roots_of_known_linear_factors(case):
     p, roots = case
-    found, cofactor = xp.rational_roots(p)
+    found, brackets = xp.rational_roots(p)
     assert found == roots
-    rebuilt = _product(1, [[-r, Fraction(1)] for r in found] + [cofactor])
-    assert rebuilt == xp.trim(p)
+    b = xp.cauchy_bound(p) + 1
+    assert len(found) + len(brackets) == _oracle_count(p, -b, b)
+    for lo, hi in brackets:  # each holds one root of p, and it is irrational
+        assert _oracle_count(p, lo, hi) == 1
+        assert not any(lo < r <= hi for r in roots)
 
 
 def test_rational_roots_keep_each_candidate_in_its_interval():
     # near 19/40 the denominator-8 candidate is 1/2, the other root
     p = xp.mul([Fraction(-19, 40), Fraction(1)], [Fraction(-1, 2), Fraction(1)])
-    assert xp.rational_roots(p) == ([Fraction(19, 40), Fraction(1, 2)], [Fraction(1)])
+    assert xp.rational_roots(p) == ([Fraction(19, 40), Fraction(1, 2)], [])
 
 
 def test_rational_roots_find_a_denominator_above_a_million():
     # (1234567x - 1)(x^2 + 1): the root's denominator divides the leading
     # coefficient, so refining to the grid Z/1234567 decides it
     p = xp.mul([Fraction(-1), Fraction(1234567)], [Fraction(1), Fraction(0), Fraction(1)])
-    found, cofactor = xp.rational_roots(p)
-    assert found == [Fraction(1, 1234567)]
-    assert cofactor == [Fraction(1234567), Fraction(0), Fraction(1234567)]
+    assert xp.rational_roots(p) == ([Fraction(1, 1234567)], [])
 
 
-def test_rational_roots_of_a_linear_polynomial_leave_its_leading_coefficient():
-    assert xp.rational_roots([Fraction(3), Fraction(2)]) == ([Fraction(-3, 2)], [Fraction(2)])
+def test_rational_roots_of_a_linear_polynomial():
+    assert xp.rational_roots([Fraction(3), Fraction(2)]) == ([Fraction(-3, 2)], [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10 ** 12).filter(lambda c: math.isqrt(c) ** 2 != c),
+       st.one_of(st.floats(allow_nan=True), st.just(None)), st.booleans())
+def test_nearest_float_is_the_correctly_rounded_root(c, guess, coarse):
+    # sqrt(c) is irrational, and math.sqrt rounds it correctly for an
+    # integer c; the guess may be anywhere, even NaN or infinite
+    p = [Fraction(-c), Fraction(0), Fraction(1)]
+    [(lo, hi)] = xp.isolate_roots(p, 0, c)
+    if not coarse:
+        lo, hi = xp.refine_root(p, lo, hi, Fraction(1, 10 ** 6))
+    guess = float((lo + hi) / 2) if guess is None else guess
+    assert xp.nearest_float(p, lo, hi, guess) == math.sqrt(c)
+
+
+def test_rational_roots_bracket_the_irrational_roots_for_nearest_float():
+    # (3x - 1)(x^2 - 2)(x^2 + 1): one rational root, two irrational ones
+    p = _product(1, [[Fraction(-1), Fraction(3)], [Fraction(-2), Fraction(0), Fraction(1)],
+                     [Fraction(1), Fraction(0), Fraction(1)]])
+    found, brackets = xp.rational_roots(p)
+    assert found == [Fraction(1, 3)]
+    assert [xp.nearest_float(p, lo, hi, 0.0) for lo, hi in brackets] == [
+        -math.sqrt(2), math.sqrt(2)]
 
 
 @settings(max_examples=100, deadline=None)

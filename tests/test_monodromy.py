@@ -15,7 +15,7 @@ from cuspidal.groups import (
     abelianization, add_projective_relation, todd_coxeter, van_kampen,
 )
 from cuspidal.monodromy import (
-    DEFAULT_SHEAR, _start_roots, braid_from_strand_paths, build_loops,
+    DEFAULT_SHEAR, SweepError, _start_roots, braid_from_strand_paths, build_loops,
     default_basepoint, fiber_evaluator, monodromy_factorization,
     strand_paths_svg,
 )
@@ -75,6 +75,12 @@ def test_loop_order_and_multiplicities():
     assert abs(targets[2] + 1) < 0.01
     assert abs(targets[3]) < 1e-12
     assert [loop.multiplicity for loop in loops] == [3, 3, 1, 3]
+
+
+def test_build_loops_rejects_any_nonzero_imaginary_part():
+    crit = [(complex(-1.0, 1e-12), 1), (0j, 3)]
+    with pytest.raises(SweepError, match="not real"):
+        build_loops(crit, -0.5)
 
 
 def test_factorization_exponent_sums():
@@ -233,17 +239,17 @@ def test_default_factorization_is_read_in_one_sweep_frame():
     _assert_one_sweep_frame(result)
 
 
-# At shear 1/10 the loop around the origin cusp sweeps cleanly at rotation
-# 0, the others only at pi/17; the basepoint fiber has a conjugate pair,
-# which the two frames order differently, so factors read each in their own
-# frame do not multiply to a factorization.
+# At shear 1/9 with 20 circle steps the loop around the origin cusp sweeps
+# cleanly at rotation 0, the others only at pi/17; the basepoint fiber has a
+# conjugate pair, which the two frames order differently, so factors read
+# each in their own frame do not multiply to a factorization.
 def test_mixed_frame_input_is_read_in_one_frame():
-    result = monodromy_factorization(basepoint=-50 / 101, shear=Fraction(1, 10),
-                                     circle_steps=64, keep_paths=True)
+    result = monodromy_factorization(basepoint=-50 / 101, shear=Fraction(1, 9),
+                                     circle_steps=20, keep_paths=True)
     _assert_one_sweep_frame(result)
     assert braid_from_strand_paths(result.strand_paths[3])[1] == 0
     assert [list(f.letters) for f in result.factors] == [
-        [3, 1, 1, 1, -3], [3, 3, 3], [-3, 2, 3], [1, 2, 2, 2, -1]]
+        [3, 1, 1, 1, -3], [3, 3, 3], [-3, 2, 3], [-2, 1, 1, 2, 1, 2, -1]]
     perms = [permutation_image(f) for f in result.factors]
     assert all(is_transposition(p) for p in perms)
     prod = compose_permutations(perms, 4)

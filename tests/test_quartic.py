@@ -15,11 +15,12 @@ needs_mpmath = pytest.mark.skipif(mpmath is None, reason="needs mpmath")
 from cuspidal import exactpoly as xp
 from cuspidal.mpoly import MPoly, determinant, ring
 from cuspidal.quartic import (
-    CurveError, FiberPattern, ParamCurve, PlaneCurve, biquadratic_parts,
+    CurveError, FiberPattern, ParamCurve, PlaneCurve, _factor_roots, biquadratic_parts,
     classify_real_fiber, critical_values, cuspidal_quartic, discriminant_poly,
     dual_of_dual, dual_parametrization, fiber_solve, flexes_and_cusps, gradient,
     implicitize, nodal_cubic, nodal_cubic_param, sheared_curve, theta,
 )
+from cuspidal.roots import RootFindingError
 
 
 def expected_quartic():
@@ -415,8 +416,8 @@ def test_critical_values_of_a_quintic_at_the_rounding_floor():
 
 def test_critical_values_decide_a_near_real_conjugate_pair():
     # a random quintic whose Disc_y has a conjugate pair -2.297 +- 5.1e-7i:
-    # the two certified disks overlap, and an exact Sturm count finds no
-    # real root under them, so they hold two distinct roots
+    # its exact inclusion disk misses the real axis, so the pair is certified
+    # as two distinct non-real roots
     terms = {(0, 2): -1, (0, 3): -2, (0, 4): 2, (0, 5): 1, (1, 0): -1, (1, 1): 1,
              (1, 3): -1, (1, 4): -2, (2, 0): -2, (2, 2): 1, (2, 3): 1, (3, 0): 1,
              (3, 1): 1, (3, 2): 2, (4, 0): 2, (4, 1): 2, (5, 0): -2}
@@ -433,6 +434,82 @@ def test_critical_values_decide_a_near_real_conjugate_pair():
                                       for c in reversed(disc)], maxsteps=400, extraprec=400)
             for v in (low, high):
                 assert min(abs(t - mpmath.mpc(v)) for t in exact) < 1e-9
+
+
+def _half_ulp_neighbours(v):
+    return [(Fraction(v) + Fraction(math.nextafter(v, s))) / 2 for s in (-math.inf, math.inf)]
+
+
+@pytest.mark.parametrize("exponent", [2, 7, 11, 15])
+def test_irrational_critical_values_are_correctly_rounded(exponent):
+    # every order is odd here, so Disc_y itself changes sign at each value
+    shear = Fraction(1, 10 ** exponent)
+    vals = critical_values(cuspidal_quartic(), shear)
+    assert [m for _, m in vals] == [3, 3, 1, 3]
+    assert all(v.imag == 0 for v, _ in vals)
+    disc = discriminant_poly(sheared_curve(cuspidal_quartic(), shear)).univariate_coeffs("x")
+    for v, _ in vals:
+        if xp.sign_at(disc, v.real) == 0:  # a rational value, exact
+            continue
+        below, above = _half_ulp_neighbours(v.real)
+        assert xp.sign_at(disc, below) * xp.sign_at(disc, above) < 0
+        assert len(xp.isolate_roots(disc, below, above)) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1, 15))
+def test_critical_values_match_exact_sturm_counts_at_every_shear(exponent):
+    shear = Fraction(1, round(10 ** exponent))
+    vals = critical_values(cuspidal_quartic(), shear)
+    disc = discriminant_poly(sheared_curve(cuspidal_quartic(), shear)).univariate_coeffs("x")
+    expected, got = {}, {}
+    for factor, mult in xp.squarefree_decomposition(disc):
+        b = xp.cauchy_bound(factor) + 1
+        real = len(xp.isolate_roots(factor, -b, b))
+        expected[mult, True] = expected.get((mult, True), 0) + real
+        expected[mult, False] = expected.get((mult, False), 0) + xp.degree(factor) - real
+    for v, mult in vals:
+        got[mult, v.imag == 0] = got.get((mult, v.imag == 0), 0) + 1
+    assert got == {k: n for k, n in expected.items() if n}
+
+
+def test_a_critical_value_far_from_its_float_approximation_is_correctly_rounded():
+    # a random quintic whose Disc_y has degree 20: its real root near 0.6055
+    # is 0.60552886256408720 at 50 digits, and Aberth on the float-rounded
+    # Disc_y lands about 1e5 ulps away from it
+    terms = {(0, 0): 2, (0, 1): -2, (0, 2): 1, (0, 3): 2, (0, 4): 2, (0, 5): 1,
+             (1, 0): -1, (1, 1): 2, (1, 2): -1, (1, 3): -2, (1, 4): 2, (2, 0): -2,
+             (2, 1): 2, (2, 2): -1, (3, 0): -2, (3, 1): 1, (3, 2): 1, (4, 0): -1,
+             (4, 1): -1, (5, 0): -1}
+    curve = PlaneCurve(MPoly(("x", "y"), {k: Fraction(c) for k, c in terms.items()}))
+    real = [v.real for v, _ in critical_values(curve) if v.imag == 0]
+    assert real == [-1.6733807656149227, 0.6055288625640872]
+
+
+def test_an_upper_disk_over_real_roots_is_no_pair():
+    # the split cusp factor at shear 1e-15 times x^2 + 1e-20: in floats the
+    # split pair is a double root, and Aberth puts a value at -1.125 + 2.6e-9i,
+    # above the true pair +-1e-10i; its exact disk reaches the real axis over
+    # the two real roots, so Sturm rejects it and +-1e-10i is the pair
+    s = Fraction(1, 10 ** 15)
+    split = [Fraction(81, 64) - Fraction(27, 64) * s * s, Fraction(9, 4), Fraction(1)]
+    lo, hi, up, down = _factor_roots(xp.mul(split, [Fraction(1, 10 ** 20), 0, Fraction(1)]))
+    assert lo.imag == hi.imag == 0 and lo.real < -1.125 < hi.real
+    assert abs(up - 1e-10j) < 1e-20 and down == up.conjugate()
+
+
+def test_overlapping_disks_do_not_count_as_two_pairs():
+    # pairs 1 +- i and 1 + 1e-15 +- i: the two Aberth values about 1 + i are
+    # 1e-8 apart and their exact disks overlap, so only one pair is certified
+    e = Fraction(1, 10 ** 15)
+    p = xp.mul([Fraction(2), Fraction(-2), Fraction(1)], [(1 + e) ** 2 + 1, -2 * (1 + e), 1])
+    with pytest.raises(RootFindingError, match="only 1 certified non-real pairs"):
+        _factor_roots(p)
+
+
+def test_split_cusp_values_that_round_to_one_float_raise():
+    with pytest.raises(RootFindingError, match="round to"):
+        critical_values(cuspidal_quartic(), Fraction(1, 10 ** 20))
 
 
 def test_sheared_curve_is_exact_substitution():
