@@ -101,13 +101,13 @@ def continue_roots(fiber_coeffs, path, initial):
     """Track all simple fiber roots along a piecewise-linear path of x values.
 
     fiber_coeffs(x) must return the ascending coefficient list of the fiber
-    polynomial at x, and initial its roots (ApproxRoots) over path[0].
+    polynomial at x, and initial the positions of its roots over path[0].
     Returns one StrandPath per root; strand k starts at the k-th initial
-    root.  The final samples sit at parameter 1.
+    position.  The final samples sit at parameter 1.
     """
     if len(path) < 1:
         raise ValueError("empty path")
-    positions = [complex(r.value) for r in initial]
+    positions = [complex(z) for z in initial]
     n = len(positions)
     if n < 1:
         raise ContinuationError("no roots to continue")
@@ -167,19 +167,20 @@ def continue_roots(fiber_coeffs, path, initial):
 
 
 def end_permutation(paths, reference):
-    """Match final strand positions against reference roots by nearest disk.
+    """Match final strand positions against reference positions by nearest disk.
 
-    Returns perm with perm[k] = index of the reference root where strand k
-    ends.  Errors out if the matching is ambiguous or not a bijection.
+    Returns perm with perm[k] = index of the reference position where
+    strand k ends.  Errors out if the matching is ambiguous or not a
+    bijection.
     """
     perm = []
     for p in paths:
         z = p.samples[-1][1]
-        dists = sorted((abs(z - complex(r.value)), i) for i, r in enumerate(reference))
+        dists = sorted((abs(z - w), i) for i, w in enumerate(reference))
         if len(dists) > 1 and dists[0][0] > 0.45 * dists[1][0]:
             raise ContinuationError(
                 f"ambiguous end matching for strand {p.strand_id}")
         perm.append(dists[0][1])
     if sorted(perm) != list(range(len(reference))):
-        raise ContinuationError("end fiber does not match reference roots")
+        raise ContinuationError("end fiber does not match reference positions")
     return perm

@@ -2,9 +2,13 @@
 
 Loops run along the real axis from the basepoint, take a counterclockwise
 semicircular detour above every intermediate critical value, circle the
-target counterclockwise, and come back.  They are emitted in the
-counterclockwise cyclic order of their departure directions: targets left
-of the basepoint farthest first, then targets to the right nearest first.
+target counterclockwise, and come back the way they went.  They are
+emitted in the counterclockwise cyclic order of their departure
+directions: targets left of the basepoint farthest first, then targets to
+the right nearest first.  Only the walk out and the circle are tracked:
+the circle ends on the walk's end fiber permuted, and each strand comes
+back along the walk of the strand it ended on, reversed, so the return leg
+sweeps to exactly the inverse of the walk's word.
 
 The strand sweep orders the fiber by real part and emits one signed Artin
 letter per transversal exchange of neighbors; a counterclockwise exchange,
@@ -23,7 +27,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .braids import BraidWord, free_reduce
-from .continuation import check_clearance, continue_roots, end_permutation
+from .continuation import (StrandPath, check_clearance, continue_roots,
+                           end_permutation)
 from .quartic import (CurveError, classify_real_fiber, critical_values,
                       cuspidal_quartic, sheared_curve)
 from .roots import roots_univariate
@@ -48,9 +53,13 @@ class _Ambiguous(Exception):
 
 @dataclass
 class LoopSpec:
+    """Walk from the basepoint to the circle around target, and the circle,
+    which starts at walk[-1] and goes once around.  The loop returns along
+    the walk reversed; that leg is not tracked."""
     target: complex
     multiplicity: int
-    waypoints: list
+    walk: list
+    circle: list
 
 
 @dataclass
@@ -101,10 +110,11 @@ def _axis_walk(x_from, x_to, obstacles, r_detour):
 
 
 def build_loops(criticals, basepoint, circle_steps=32):
-    """Loop waypoint lists in counterclockwise cyclic order: left targets
-    farthest first, then right targets nearest first.  Circles have a
-    quarter of the smallest distance among critical values and basepoint
-    as radius."""
+    """Loops (walk and circle waypoints) in counterclockwise cyclic order:
+    left targets farthest first, then right targets nearest first.  Circles
+    have a quarter of the smallest distance among critical values and
+    basepoint as radius.  The return leg of each loop is its walk reversed,
+    so it has no waypoints of its own."""
     reals = []
     for value, mult in criticals:
         value = complex(value)
@@ -128,8 +138,7 @@ def build_loops(criticals, basepoint, circle_steps=32):
         start_angle = 0.0 if side > 0 else math.pi
         circle = [v + r * cmath.exp(1j * (start_angle + 2 * math.pi * k / circle_steps))
                   for k in range(1, circle_steps + 1)]
-        waypoints = walk + circle + list(reversed(walk))
-        loops.append(LoopSpec(complex(v), m, waypoints))
+        loops.append(LoopSpec(complex(v), m, walk, walk[-1:] + circle))
     return loops, r
 
 
@@ -280,6 +289,17 @@ def _start_roots(sheared, basepoint):
     return sorted(out, key=lambda r: (r.value.real, r.value.imag))
 
 
+def _closed_loop_paths(walk, circle, perm):
+    """Strand paths of the whole loop from the tracked walk and circle:
+    strand k walks out, circles, and comes back along the walk of strand
+    perm[k] reversed, where the circle brought it.  The three legs take
+    the parameter intervals [0, 1/3], [1/3, 2/3] and [2/3, 1]."""
+    return [StrandPath(k, [(t / 3, z) for t, z in w.samples]
+                       + [((1 + t) / 3, z) for t, z in c.samples[1:]]
+                       + [((3 - t) / 3, z) for t, z in reversed(walk[perm[k]].samples)])
+            for k, (w, c) in enumerate(zip(walk, circle))]
+
+
 def _strand_names(curve, basepoint, start_roots):
     """Match the basepoint fiber against the unsheared curve's A/B labels."""
     fallback = [f"s{k + 1}" for k in range(len(start_roots))]
@@ -314,14 +334,18 @@ def monodromy_factorization(curve=None, basepoint=None, shear=DEFAULT_SHEAR,
     sheared = sheared_curve(curve, shear)
     start_roots = _start_roots(sheared, basepoint)
     names = _strand_names(curve, basepoint, start_roots)
+    start = [r.value for r in start_roots]
     families = []
     for loop in loops:
         others = [l.target for l in loops if l is not loop]
-        check_clearance(loop.waypoints, others, 0.9 * min(radius, 1.0))
+        check_clearance(loop.walk + loop.circle, others, 0.9 * min(radius, 1.0))
         fiber = fiber_evaluator(sheared, loop.target.real)
-        paths = continue_roots(fiber, loop.waypoints, initial=start_roots)
-        end_permutation(paths, start_roots)  # loudly validates the loop closed
-        families.append(paths)
+        walk = continue_roots(fiber, loop.walk, initial=start)
+        ends = [p.samples[-1][1] for p in walk]
+        circle = continue_roots(fiber, loop.circle, initial=ends)
+        # loudly validates that the circle closed on the walk's end fiber
+        perm = end_permutation(circle, ends)
+        families.append(_closed_loop_paths(walk, circle, perm))
     factors, rotation = _one_frame(families)
     return MonodromyResult(
         n_strands=len(start_roots), factors=factors, loops=loops,

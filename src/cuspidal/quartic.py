@@ -22,6 +22,7 @@ from .roots import ApproxRoot, RootFindingError, root_disks
 
 PLANE_VARS = ("x", "y", "z")
 AFFINE_VARS = ("x", "y")
+NEWTON_REFINE_STEPS = 8  # exact Newton steps at most per non-real critical value
 
 
 class CurveError(ValueError):
@@ -268,8 +269,14 @@ def _inclusion_radius(coeffs, z):
     and rounded up: the disk about z holds a root of p (Rump, Ten methods to
     bound multiple roots of polynomials, 2003).  0 if p(z) = 0, inf if
     p'(z) = 0."""
-    (pr, pi), (qr, qi), _ = _gaussian_horner(coeffs, z)
-    num, den = (len(coeffs) - 1) ** 2 * (pr * pr + pi * pi), qr * qr + qi * qi
+    return _horner_radius(len(coeffs) - 1, _gaussian_horner(coeffs, z))
+
+
+def _horner_radius(n, horner):
+    """``_inclusion_radius`` of a degree n polynomial from its
+    ``_gaussian_horner`` values at the center."""
+    (pr, pi), (qr, qi), _ = horner
+    num, den = n ** 2 * (pr * pr + pi * pi), qr * qr + qi * qi
     if not den:
         return math.inf if num else 0.0
     radius = math.sqrt(num / den)  # num/den is the squared radius
@@ -413,7 +420,8 @@ def _factor_roots(factor):
     Sturm counts no real root in [Re z - r, Re z + r].  Together with its
     conjugate the disk must miss every pair accepted before, so the pairs
     hold distinct roots.  The real roots and twice the pairs must add up to
-    n, else RootFindingError is raised.
+    n, else RootFindingError is raised.  Each accepted z is then refined by
+    exact Newton steps that stay in its disk (``_newton_refined``).
     """
     n = xp.degree(factor)
     rational, brackets = xp.rational_roots(factor)
@@ -423,22 +431,46 @@ def _factor_roots(factor):
         mid = float((lo + hi) / 2)
         guess = min(approx, key=lambda z: abs(z - mid)).real
         values.append(complex(xp.nearest_float(factor, lo, hi, guess)))
+    coeffs = [(c, 0) for c in factor]
     pairs = []
     for z in sorted((z for z in approx if z.imag > 0), key=lambda z: -z.imag):
         if len(values) + 2 * len(pairs) == n:
             break
-        r = _inclusion_radius([(c, 0) for c in factor], z)
+        horner = _gaussian_horner(coeffs, z)
+        r = _horner_radius(n, horner)
         if not math.isfinite(r):
             continue
         lo, hi = Fraction(z.real) - Fraction(r), Fraction(z.real) + Fraction(r)
         if z.imag <= r and (xp.sign_at(factor, lo) == 0 or xp.isolate_roots(factor, lo, hi)):
             continue
-        if all(_apart(z, u, r, s) for w, s in pairs for u in (w, w.conjugate())):
-            pairs.append((z, r))
+        if all(_apart(z, u, r, s) for w, s, _ in pairs for u in (w, w.conjugate())):
+            pairs.append((z, r, _newton_refined(coeffs, z, r, horner)))
     if len(values) + 2 * len(pairs) != n:
         raise RootFindingError(f"a squarefree factor of degree {n} has {len(values)} real "
                                f"roots and only {len(pairs)} certified non-real pairs")
-    return values + [v for z, _ in pairs for v in (z, z.conjugate())]
+    return values + [v for _, _, w in pairs for v in (w, w.conjugate())]
+
+
+def _newton_refined(coeffs, z, r, horner):
+    """Exact complex Newton steps w - p(w)/p'(w), each rounded once, from
+    the accepted value z with ``horner`` its ``_gaussian_horner`` values.
+    A step is kept while it moves and its float stays above the real axis
+    in the accepted disk of radius r about z, which holds the root."""
+    w = z
+    for _ in range(NEWTON_REFINE_STEPS):
+        (pr, pi), (qr, qi), _ = horner
+        q2 = qr * qr + qi * qi
+        if not q2:
+            break
+        # w - P/Q = w - P conj(Q)/|Q|^2; int / int rounds correctly
+        (a, b), (c, e) = w.real.as_integer_ratio(), w.imag.as_integer_ratio()
+        step = complex((a * q2 - b * (pr * qr + pi * qi)) / (b * q2),
+                       (c * q2 - e * (pi * qr - pr * qi)) / (e * q2))
+        if step == w or step.imag <= 0 or _apart(step, z, 0.0, r):
+            break
+        w = step
+        horner = _gaussian_horner(coeffs, w)
+    return w
 
 
 def _apart(z, w, r, s):
@@ -446,6 +478,8 @@ def _apart(z, w, r, s):
     near-tangent disks."""
     if abs(z - w) > 2 * (r + s):
         return True
+    if abs(z - w) < (r + s) / 2:
+        return False
     dx, dy = Fraction(z.real) - Fraction(w.real), Fraction(z.imag) - Fraction(w.imag)
     return dx * dx + dy * dy > (Fraction(r) + Fraction(s)) ** 2
 

@@ -34,6 +34,12 @@ def test_critical_values_matches_golden(capsys):
     assert out == (FIXTURES / "critical_values_sheared.json").read_text()
 
 
+def test_monodromy_matches_golden(capsys):
+    code, out = run_cli(capsys, "monodromy", "--shear", "1/100")
+    assert code == 0
+    assert out == (FIXTURES / "monodromy_sheared.json").read_text()
+
+
 def test_critical_values_separate_split_cusp_values_at_a_tiny_shear(capsys):
     code, out = run_cli(capsys, "critical-values", "--shear", "1/100000000000")
     assert code == 0

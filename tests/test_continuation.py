@@ -20,14 +20,17 @@ def fiber_c(x):
     return [x ** 3 + x ** 4, 0.0, 2 * x ** 2 + 9 * x + 27 / 4, 0.0, 1.0]
 
 
+def fiber_roots(x):
+    return [r.value for r in roots_univariate(fiber_c(x))]
+
+
 def circle(center, radius, start_angle=0.0, turns=1.0, steps=24):
     return [center + radius * cmath.exp(1j * (start_angle + 2 * math.pi * turns * k / steps))
             for k in range(steps + 1)]
 
 
 def test_constant_path_is_constant():
-    paths = continue_roots(fiber_c, [-0.5, -0.5, -0.5],
-                           initial=roots_univariate(fiber_c(-0.5)))
+    paths = continue_roots(fiber_c, [-0.5, -0.5, -0.5], initial=fiber_roots(-0.5))
     for p in paths:
         assert all(abs(z - p.samples[0][1]) < 1e-14 for _, z in p.samples)
 
@@ -36,9 +39,9 @@ def test_real_strands_become_real_past_tangency():
     # detour counterclockwise around the tangency at x = -1 (its critical value)
     detour = [-1 + 0.02 * cmath.exp(1j * t * math.pi / 8) for t in range(9)]
     path = [-0.5, -0.98] + detour + [-1.05]
-    start = roots_univariate(fiber_c(-0.5))
+    start = fiber_roots(-0.5)
     paths = continue_roots(fiber_c, path, initial=start)
-    start_real = sorted(abs(r.value.imag) < 1e-12 for r in start)
+    start_real = sorted(abs(z.imag) < 1e-12 for z in start)
     assert start_real == [False, False, True, True]
     for p in paths:
         assert abs(p.samples[-1][1].imag) < 1e-9  # four real roots at -1.05
@@ -46,7 +49,7 @@ def test_real_strands_become_real_past_tangency():
 
 def test_straight_path_through_critical_value_fails():
     with pytest.raises(ContinuationError):
-        continue_roots(fiber_c, [-0.5, -1.05], initial=roots_univariate(fiber_c(-0.5)))
+        continue_roots(fiber_c, [-0.5, -1.05], initial=fiber_roots(-0.5))
 
 
 def test_clearance_precondition():
@@ -56,12 +59,12 @@ def test_clearance_precondition():
 
 
 def test_loop_around_origin_swaps_colliding_strands():
-    start = roots_univariate(fiber_c(-0.5))
+    start = fiber_roots(-0.5)
     loop = circle(0.0, 0.5, start_angle=math.pi, steps=48)
     paths = continue_roots(fiber_c, loop, initial=start)
     perm = end_permutation(paths, start)
-    real_idx = [i for i, r in enumerate(start) if abs(r.value.imag) < 1e-12]
-    imag_idx = [i for i, r in enumerate(start) if abs(r.value.imag) >= 1e-12]
+    real_idx = [i for i, z in enumerate(start) if abs(z.imag) < 1e-12]
+    imag_idx = [i for i, z in enumerate(start) if abs(z.imag) >= 1e-12]
     assert sorted((real_idx[0], perm[real_idx[0]])) == sorted(real_idx)
     assert perm[real_idx[0]] == real_idx[1] and perm[real_idx[1]] == real_idx[0]
     for i in imag_idx:
@@ -69,7 +72,7 @@ def test_loop_around_origin_swaps_colliding_strands():
 
 
 def test_loop_then_reverse_is_identity():
-    start = roots_univariate(fiber_c(-0.5))
+    start = fiber_roots(-0.5)
     loop = circle(0.0, 0.5, start_angle=math.pi, steps=48)
     both = loop + loop[::-1]
     paths = continue_roots(fiber_c, both, initial=start)
@@ -78,7 +81,7 @@ def test_loop_then_reverse_is_identity():
 
 
 def test_reversed_loop_inverts_permutation():
-    start = roots_univariate(fiber_c(-0.5))
+    start = fiber_roots(-0.5)
     loop = circle(0.0, 0.5, start_angle=math.pi, steps=48)
     perm_f = end_permutation(continue_roots(fiber_c, loop, initial=start), start)
     perm_b = end_permutation(continue_roots(fiber_c, loop[::-1], initial=start), start)
@@ -126,7 +129,7 @@ def test_newton_track_rejects_an_unresolved_cluster():
 def reference_continue_roots(fiber_coeffs, path, initial):
     """The plain halving tracker: every attempt evaluates its fiber and
     separation afresh and tries the strands in index order."""
-    positions = [complex(r.value) for r in initial]
+    positions = [complex(z) for z in initial]
     n = len(positions)
     lengths = [abs(b - a) for a, b in zip(path, path[1:])]
     total = sum(lengths) or 1.0
@@ -178,13 +181,14 @@ def test_split_cusp_walk_matches_the_halving_reference():
     sheared = sheared_curve(cuspidal_quartic(), shear)
     loops, _ = build_loops(critical_values(cuspidal_quartic(), shear), basepoint)
     split = loops[0]  # the split cusp farthest left, past the two others
+    start = [r.value for r in _start_roots(sheared, basepoint)]
     paths = _assert_same_samples(fiber_evaluator(sheared, split.target.real),
-                                 split.waypoints, _start_roots(sheared, basepoint))
+                                 split.walk + split.circle, start)
     assert len(paths[0].samples) > 1000
 
 
 def test_halving_heavy_circle_matches_the_halving_reference():
-    start = roots_univariate(fiber_c(-0.5))
+    start = fiber_roots(-0.5)
     loop = circle(0.0, 0.5, start_angle=math.pi, steps=3)
     paths = _assert_same_samples(fiber_c, loop, start)
     assert len(paths[0].samples) > 10 * len(loop)
@@ -193,6 +197,6 @@ def test_halving_heavy_circle_matches_the_halving_reference():
 @settings(max_examples=8, deadline=None)
 @given(basepoint=st.floats(0.05, 0.95), steps=st.integers(4, 16))
 def test_origin_loops_match_the_halving_reference(basepoint, steps):
-    start = roots_univariate(fiber_c(basepoint))
+    start = fiber_roots(basepoint)
     loop = circle(0.0, basepoint, steps=steps)
     _assert_same_samples(fiber_c, loop, start)

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cuspidal import checks, monodromy
 from cuspidal.braids import (
-    braid_equal, compose_permutations, conjugate_power_witness,
+    BraidWord, braid_equal, compose_permutations, conjugate_power_witness,
     is_transposition, permutation_image,
 )
-from cuspidal.continuation import StrandPath, continue_roots
+from cuspidal.continuation import ContinuationError, StrandPath, continue_roots
 from cuspidal.groups import (
     abelianization, add_projective_relation, todd_coxeter, van_kampen,
 )
 from cuspidal.monodromy import (
-    DEFAULT_SHEAR, SweepError, _start_roots, braid_from_strand_paths, build_loops,
+    DEFAULT_SHEAR, SweepError, _one_frame, _start_roots, braid_from_strand_paths,
+    build_loops,
     default_basepoint, fiber_evaluator, monodromy_factorization,
     strand_paths_svg,
 )
@@ -142,8 +144,8 @@ def test_group_fingerprints_from_numeric_factorization():
 def connecting_braid(curve, from_basepoint, via):
     """Braid of dragging the basepoint along the waypoints via."""
     sheared = sheared_curve(curve, DEFAULT_SHEAR)
-    paths = continue_roots(fiber_evaluator(sheared, from_basepoint), via,
-                           initial=_start_roots(sheared, from_basepoint))
+    start = [r.value for r in _start_roots(sheared, from_basepoint)]
+    paths = continue_roots(fiber_evaluator(sheared, from_basepoint), via, initial=start)
     return braid_from_strand_paths(paths)[0]
 
 
@@ -267,3 +269,54 @@ def test_complex_quadruple_fiber_gets_fallback_names(basepoint):
     result = monodromy_factorization(basepoint=basepoint, shear=Fraction(1, 10))
     assert result.strand_names == ["s1", "s2", "s3", "s4"]
     assert result.exponent_sums() == [3, 3, 1, 3]
+
+
+def _factors_with_a_tracked_return(shear, basepoint, circle_steps):
+    """(factors, rotation) from loops tracked out, around and back again."""
+    curve = cuspidal_quartic()
+    sheared = sheared_curve(curve, shear)
+    loops, _ = build_loops(critical_values(curve, shear), basepoint, circle_steps)
+    start = [r.value for r in _start_roots(sheared, basepoint)]
+    families = [continue_roots(fiber_evaluator(sheared, loop.target.real),
+                               loop.walk + loop.circle[1:] + loop.walk[::-1], start)
+                for loop in loops]
+    return _one_frame(families)
+
+
+@pytest.mark.parametrize("shear, basepoint, steps", [
+    (DEFAULT_SHEAR, default_basepoint(), 32),
+    (Fraction(1, 9), -50 / 101, 20),  # the mixed-frame input
+    (Fraction(1, 10), -1.09, 32),  # between -9/8 and the right split cusp value
+    (Fraction(1, 679), 0.34010940278577345, 256),  # right of every critical value
+    (Fraction(1, 1000), -0.3465, 32),
+])
+def test_the_walk_reversed_reads_as_a_tracked_return(shear, basepoint, steps):
+    result = monodromy_factorization(basepoint=basepoint, shear=shear,
+                                     circle_steps=steps)
+    factors, rotation = _factors_with_a_tracked_return(shear, basepoint, steps)
+    assert [f.letters for f in result.factors] == [f.letters for f in factors]
+    assert result.sweep_rotation == rotation
+
+
+def test_a_circle_that_does_not_close_on_the_walk_end_fails(monkeypatch):
+    def half_circles(*args, **kwargs):
+        loops, radius = build_loops(*args, **kwargs)
+        for loop in loops:
+            loop.circle = loop.circle[:len(loop.circle) // 2 + 1]
+        return loops, radius
+
+    monkeypatch.setattr(monodromy, "build_loops", half_circles)
+    with pytest.raises(ContinuationError):
+        monodromy_factorization()
+
+
+@pytest.mark.parametrize("shear", [Fraction(1, 10), Fraction(1, 37), DEFAULT_SHEAR,
+                                   Fraction(1, 1000)])
+def test_one_global_conjugator_gives_the_paper_factors(shear):
+    # at the default basepoint W = s1^-1 s3^-1 conjugates every computed
+    # factor onto the corresponding factor of the paper's factorization
+    result = monodromy_factorization(shear=shear)
+    w = BraidWord(4, (-1, -3))
+    paper = checks.fixture_monodromy_factors()
+    for computed, expected in zip(result.factors, paper, strict=True):
+        assert braid_equal(w * computed * w.inverse(), expected)

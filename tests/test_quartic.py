@@ -428,12 +428,14 @@ def test_critical_values_decide_a_near_real_conjugate_pair():
     [low, high] = [v for v, _ in vals if abs(v + 2.297) < 1e-3]
     assert low == high.conjugate() and 4e-7 < high.imag < 6e-7
     assert xp.isolate_roots(disc, -3, -2) == []
-    if mpmath is not None:  # the pair at 60 digits, 3e-10 from the floats
+    if mpmath is not None:  # the pair at 60 digits, within an ulp of the floats
         with mpmath.workdps(60):
             exact = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
                                       for c in reversed(disc)], maxsteps=400, extraprec=400)
             for v in (low, high):
-                assert min(abs(t - mpmath.mpc(v)) for t in exact) < 1e-9
+                t = min(exact, key=lambda t: abs(t - mpmath.mpc(v)))
+                assert abs(t.real - v.real) <= math.ulp(v.real)
+                assert abs(t.imag - v.imag) <= math.ulp(v.imag)
 
 
 def _half_ulp_neighbours(v):
