@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .roots import _certified_radius, _eval_error_bound, eval_poly
+from .roots import _eval_error_bound, eval_poly, inclusion_radius
 
 HALVING_BUDGET = 40
 NEWTON_STEPS = 24  # Newton iterations per corrector run
@@ -58,7 +58,7 @@ def check_clearance(path, critical_values, clearance):
 @dataclass
 class StrandPath:
     strand_id: int
-    samples: list  # (parameter in [0,1], complex position)
+    samples: list  # complex positions at the accepted steps, the start first
 
 
 def _newton_track(coeffs, z, sep):
@@ -67,8 +67,8 @@ def _newton_track(coeffs, z, sep):
     A run converges when a step falls below NEWTON_TOL * max(1, |z|).  Near a
     collision of strands p/p' can stay above that for rounding noise alone,
     so a run that never passes the step test still converges when it ends
-    at the rounding floor: |p(z)| within the Horner error bound and an
-    inclusion radius below sep/6.
+    at the rounding floor: |p(z)| within the Horner error bound and the
+    exact ``inclusion_radius`` of the fiber at z below sep/6.
     """
     tol = NEWTON_TOL * max(1.0, abs(z))
     descending = coeffs[::-1]
@@ -84,7 +84,7 @@ def _newton_track(coeffs, z, sep):
         if abs(step) < tol:
             return True, z
     at_floor = abs(eval_poly(coeffs, z)) <= _eval_error_bound(coeffs, z)
-    return at_floor and _certified_radius(coeffs, z) < sep / 6.0, z
+    return at_floor and inclusion_radius(coeffs, z) < sep / 6.0, z
 
 
 def _min_pairwise(points):
@@ -103,7 +103,7 @@ def continue_roots(fiber_coeffs, path, initial):
     fiber_coeffs(x) must return the ascending coefficient list of the fiber
     polynomial at x, and initial the positions of its roots over path[0].
     Returns one StrandPath per root; strand k starts at the k-th initial
-    position.  The final samples sit at parameter 1.
+    position, and every strand has one sample per accepted step.
     """
     if len(path) < 1:
         raise ValueError("empty path")
@@ -111,9 +111,7 @@ def continue_roots(fiber_coeffs, path, initial):
     n = len(positions)
     if n < 1:
         raise ContinuationError("no roots to continue")
-    lengths = [abs(b - a) for a, b in zip(path, path[1:])]
-    total = sum(lengths) or 1.0
-    paths = [StrandPath(k, [(0.0, positions[k])]) for k in range(n)]
+    paths = [StrandPath(k, [positions[k]]) for k in range(n)]
     order = list(range(n))  # correction order: the strand that failed last leads
 
     def correct(coeffs, pos, sep):
@@ -131,11 +129,9 @@ def continue_roots(fiber_coeffs, path, initial):
         return new
 
     sep = _min_pairwise(positions)
-    done = 0.0
-    for seg, (xa, xb) in enumerate(zip(path, path[1:])):
+    for xa, xb in zip(path, path[1:]):
         if xa == xb:
             continue
-        seg_len = lengths[seg]
         # pending halves, the next one last: (x at its end, fiber there, depth)
         pending = [(xb, fiber_coeffs(xb), 0)]
         x_here = xa
@@ -154,15 +150,8 @@ def continue_roots(fiber_coeffs, path, initial):
             pending.pop()
             x_here, positions = x_to, new
             sep = _min_pairwise(positions)
-            frac = abs(x_here - xa) / seg_len if seg_len else 1.0
-            t = (done + frac * seg_len) / total
             for k in range(n):
-                paths[k].samples.append((t, positions[k]))
-        done += seg_len
-    for k in range(n):
-        t_last, z_last = paths[k].samples[-1]
-        if t_last != 1.0:
-            paths[k].samples.append((1.0, z_last))
+                paths[k].samples.append(positions[k])
     return paths
 
 
@@ -175,7 +164,7 @@ def end_permutation(paths, reference):
     """
     perm = []
     for p in paths:
-        z = p.samples[-1][1]
+        z = p.samples[-1]
         dists = sorted((abs(z - w), i) for i, w in enumerate(reference))
         if len(dists) > 1 and dists[0][0] > 0.45 * dists[1][0]:
             raise ContinuationError(

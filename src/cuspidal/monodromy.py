@@ -70,7 +70,6 @@ class MonodromyResult:
     basepoint: float
     shear: Fraction
     strand_names: list
-    start_roots: list
     sweep_rotation: int  # every factor is read in the fiber plane rotated by k pi/17
     strand_paths: list = field(default_factory=list)
 
@@ -192,7 +191,8 @@ def _sweep(strands, rotation, tol):
 
 
 def braid_from_strand_paths(paths, first_rotation=0):
-    """Sweep a family of sampled strand paths into a braid word.
+    """Sweep a family of strand paths, sampled at common steps, into a
+    braid word.
 
     The fiber plane is rotated by k pi/17 for k = first_rotation,
     first_rotation + 1, ... until every crossing is a clean transversal
@@ -202,11 +202,9 @@ def braid_from_strand_paths(paths, first_rotation=0):
     n = len(paths)
     if n < 2:
         raise SweepError("need at least two strands")
-    times = [t for t, _ in paths[0].samples]
-    for p in paths[1:]:
-        if [t for t, _ in p.samples] != times:
-            raise SweepError("strand paths are not sampled at common parameters")
-    strands = [[z for _, z in p.samples] for p in paths]
+    if len({len(p.samples) for p in paths}) > 1:
+        raise SweepError("strand paths do not have the same number of samples")
+    strands = [p.samples for p in paths]
     tol = 1e-11 * (max(abs(z) for s in strands for z in s) or 1.0)
     last = None
     for k in range(first_rotation, MAX_ROTATIONS + 1):
@@ -272,12 +270,21 @@ def fiber_evaluator(sheared, center):
 def _start_roots(sheared, basepoint):
     """Simple fiber roots over the real basepoint, sorted by (real, imag).
 
-    The fiber polynomial is real, so its non-real roots come in conjugate
-    pairs; each pair gets one shared real part, so that within a pair the
-    root with negative imaginary part always comes first instead of
-    whichever one rounding put an ulp further left.
+    The radii certify the curve's own fiber at the exact basepoint, whose
+    coefficients Aberth sees rounded once, as ``fiber_evaluator`` gives
+    them there.  The fiber polynomial is real, so its non-real roots come
+    in conjugate pairs; each pair gets one shared real part, so that within
+    a pair the root with negative imaginary part always comes first instead
+    of whichever one rounding put an ulp further left.  Raises
+    OverflowError, naming the basepoint, when a coefficient leaves double
+    precision.
     """
-    roots = roots_univariate(fiber_evaluator(sheared, basepoint)(basepoint))
+    x = {"x": Fraction(basepoint)}
+    try:
+        roots = roots_univariate([c.evaluate(x) for c in sheared.equation.as_univariate("y")])
+    except OverflowError:
+        raise OverflowError(f"fiber coefficients at x = {basepoint} "
+                            "overflow double precision") from None
     values = [r.value for r in roots]
     out = []
     for r in roots:
@@ -292,11 +299,8 @@ def _start_roots(sheared, basepoint):
 def _closed_loop_paths(walk, circle, perm):
     """Strand paths of the whole loop from the tracked walk and circle:
     strand k walks out, circles, and comes back along the walk of strand
-    perm[k] reversed, where the circle brought it.  The three legs take
-    the parameter intervals [0, 1/3], [1/3, 2/3] and [2/3, 1]."""
-    return [StrandPath(k, [(t / 3, z) for t, z in w.samples]
-                       + [((1 + t) / 3, z) for t, z in c.samples[1:]]
-                       + [((3 - t) / 3, z) for t, z in reversed(walk[perm[k]].samples)])
+    perm[k] reversed, where the circle brought it."""
+    return [StrandPath(k, w.samples + c.samples[1:] + walk[perm[k]].samples[::-1])
             for k, (w, c) in enumerate(zip(walk, circle))]
 
 
@@ -341,7 +345,7 @@ def monodromy_factorization(curve=None, basepoint=None, shear=DEFAULT_SHEAR,
         check_clearance(loop.walk + loop.circle, others, 0.9 * min(radius, 1.0))
         fiber = fiber_evaluator(sheared, loop.target.real)
         walk = continue_roots(fiber, loop.walk, initial=start)
-        ends = [p.samples[-1][1] for p in walk]
+        ends = [p.samples[-1] for p in walk]
         circle = continue_roots(fiber, loop.circle, initial=ends)
         # loudly validates that the circle closed on the walk's end fiber
         perm = end_permutation(circle, ends)
@@ -349,16 +353,15 @@ def monodromy_factorization(curve=None, basepoint=None, shear=DEFAULT_SHEAR,
     factors, rotation = _one_frame(families)
     return MonodromyResult(
         n_strands=len(start_roots), factors=factors, loops=loops,
-        basepoint=basepoint, shear=shear, strand_names=names,
-        start_roots=start_roots, sweep_rotation=rotation,
+        basepoint=basepoint, shear=shear, strand_names=names, sweep_rotation=rotation,
         strand_paths=families if keep_paths else [])
 
 
 def strand_paths_svg(paths):
     """Non-normative SVG plot of strand paths in the fiber plane."""
     width, height = 640, 480
-    xs = [z.real for p in paths for _, z in p.samples]
-    ys = [z.imag for p in paths for _, z in p.samples]
+    xs = [z.real for p in paths for z in p.samples]
+    ys = [z.imag for p in paths for z in p.samples]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
@@ -373,11 +376,11 @@ def strand_paths_svg(paths):
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
     lines.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     for k, p in enumerate(paths):
-        pts = " ".join(to_px(z) for _, z in p.samples)
+        pts = " ".join(to_px(z) for z in p.samples)
         color = colors[k % len(colors)]
         lines.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2"/>')
-        start = to_px(p.samples[0][1]).split(",")
+        start = to_px(p.samples[0]).split(",")
         lines.append(f'<circle cx="{start[0]}" cy="{start[1]}" r="3" fill="{color}"/>')
     lines.append("</svg>")
     return "\n".join(lines)

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from . import exactpoly as xp
 from .mpoly import MPoly, bareiss, determinant, resultant, ring, sylvester_matrix
-from .roots import ApproxRoot, RootFindingError, root_disks
+from .roots import (ApproxRoot, RootFindingError, approximate_roots, gaussian_horner,
+                    horner_radius, inclusion_radius)
 
 PLANE_VARS = ("x", "y", "z")
 AFFINE_VARS = ("x", "y")
@@ -205,7 +206,7 @@ def fiber_solve(curve, x0):
     multiplicity 2.  The values come without cancellation: each exact value
     is rounded once, the larger z-root takes -A and -sqrt(Theta) in one half
     plane, and the smaller is B over the larger.  Each radius is the
-    exact ``_inclusion_radius`` of the fiber polynomial at the root.
+    exact ``inclusion_radius`` of the fiber polynomial at the root.
 
     Raises CurveError for a curve whose fiber is not biquadratic, and
     OverflowError when A(x0), B(x0), Theta(x0) or the roots leave double
@@ -232,57 +233,16 @@ def fiber_solve(curve, x0):
     if not all(cmath.isfinite(v) for v, _ in values):
         raise OverflowError(f"fiber roots over x = {x0} overflow double precision")
     fiber = [exact[1], (0, 0), exact[0], (0, 0), (1, 0)]  # y^4 + a y^2 + b
-    out = [ApproxRoot(v, _inclusion_radius(fiber, v), m) for v, m in values]
+    out = [ApproxRoot(v, inclusion_radius(fiber, v), m) for v, m in values]
     out.sort(key=lambda r: (r.value.real, r.value.imag))
     return out
-
-
-def _gaussian_horner(coeffs, z):
-    """(P, Q, s) with p(z) = P/s and p'(z) = Q/s exactly, P and Q Gaussian
-    integers (re, im), for ascending Gaussian rational coefficients (re, im)
-    of p and the complex float z = (u + iv)/d: Horner on Python ints."""
-    den = math.lcm(*(c.denominator for pair in coeffs for c in pair))
-    x, y = Fraction(z.real), Fraction(z.imag)
-    d = max(x.denominator, y.denominator)  # both powers of two
-    u, v = x.numerator * (d // x.denominator), y.numerator * (d // y.denominator)
-    pr = pi = qr = qi = 0
-    dk = den
-    for cr, ci in reversed(coeffs):  # p <- p z + c and p' <- p' z + p, times powers of d
-        qr, qi = qr * u - qi * v + pr, qr * v + qi * u + pi
-        pr, pi = (pr * u - pi * v + cr.numerator * (dk // cr.denominator),
-                  pr * v + pi * u + ci.numerator * (dk // ci.denominator))
-        dk *= d
-    s = dk // d
-    return (pr, pi), (qr * d, qi * d), s
 
 
 def _gaussian_value(poly, x0):
     """Exact (real, imaginary) parts of the polynomial in x at the complex
     float x0."""
-    (pr, pi), _, s = _gaussian_horner([(c, 0) for c in poly.univariate_coeffs("x")],
-                                      complex(x0))
+    (pr, pi), _, s = gaussian_horner(poly.univariate_coeffs("x"), complex(x0))
     return Fraction(pr, s), Fraction(pi, s)
-
-
-def _inclusion_radius(coeffs, z):
-    """n|p(z)|/|p'(z)| for p of degree n (as in ``_gaussian_horner``), exact
-    and rounded up: the disk about z holds a root of p (Rump, Ten methods to
-    bound multiple roots of polynomials, 2003).  0 if p(z) = 0, inf if
-    p'(z) = 0."""
-    return _horner_radius(len(coeffs) - 1, _gaussian_horner(coeffs, z))
-
-
-def _horner_radius(n, horner):
-    """``_inclusion_radius`` of a degree n polynomial from its
-    ``_gaussian_horner`` values at the center."""
-    (pr, pi), (qr, qi), _ = horner
-    num, den = n ** 2 * (pr * pr + pi * pi), qr * qr + qi * qi
-    if not den:
-        return math.inf if num else 0.0
-    radius = math.sqrt(num / den)  # num/den is the squared radius
-    while (r := radius.as_integer_ratio())[0] ** 2 * den < num * r[1] ** 2:
-        radius = math.nextafter(radius, math.inf)
-    return radius
 
 
 def classify_real_fiber(curve, x0):
@@ -425,26 +385,25 @@ def _factor_roots(factor):
     """
     n = xp.degree(factor)
     rational, brackets = xp.rational_roots(factor)
-    approx = [r.value for r in root_disks([float(c) for c in factor])] if len(rational) < n else []
+    approx = approximate_roots([float(c) for c in factor]) if len(rational) < n else []
     values = [complex(q) for q in rational]
     for lo, hi in brackets:
         mid = float((lo + hi) / 2)
         guess = min(approx, key=lambda z: abs(z - mid)).real
         values.append(complex(xp.nearest_float(factor, lo, hi, guess)))
-    coeffs = [(c, 0) for c in factor]
     pairs = []
     for z in sorted((z for z in approx if z.imag > 0), key=lambda z: -z.imag):
         if len(values) + 2 * len(pairs) == n:
             break
-        horner = _gaussian_horner(coeffs, z)
-        r = _horner_radius(n, horner)
+        horner = gaussian_horner(factor, z)
+        r = horner_radius(n, horner)
         if not math.isfinite(r):
             continue
         lo, hi = Fraction(z.real) - Fraction(r), Fraction(z.real) + Fraction(r)
         if z.imag <= r and (xp.sign_at(factor, lo) == 0 or xp.isolate_roots(factor, lo, hi)):
             continue
         if all(_apart(z, u, r, s) for w, s, _ in pairs for u in (w, w.conjugate())):
-            pairs.append((z, r, _newton_refined(coeffs, z, r, horner)))
+            pairs.append((z, r, _newton_refined(factor, z, r, horner)))
     if len(values) + 2 * len(pairs) != n:
         raise RootFindingError(f"a squarefree factor of degree {n} has {len(values)} real "
                                f"roots and only {len(pairs)} certified non-real pairs")
@@ -453,7 +412,7 @@ def _factor_roots(factor):
 
 def _newton_refined(coeffs, z, r, horner):
     """Exact complex Newton steps w - p(w)/p'(w), each rounded once, from
-    the accepted value z with ``horner`` its ``_gaussian_horner`` values.
+    the accepted value z with ``horner`` its ``gaussian_horner`` values.
     A step is kept while it moves and its float stays above the real axis
     in the accepted disk of radius r about z, which holds the root."""
     w = z
@@ -469,7 +428,7 @@ def _newton_refined(coeffs, z, r, horner):
         if step == w or step.imag <= 0 or _apart(step, z, 0.0, r):
             break
         w = step
-        horner = _gaussian_horner(coeffs, w)
+        horner = gaussian_horner(coeffs, w)
     return w
 
 
@@ -542,14 +501,9 @@ def flexes_and_cusps():
 def _dual_point_at_flex(dual):
     """Exact (x, y^2) of the dual curve at the parameters with 3t^2 = 1."""
     def reduce_mod(coeffs):
-        # reduce a polynomial in t modulo t^2 = 1/3: returns (const, t-coeff)
-        c0, c1 = Fraction(0), Fraction(0)
-        for k, c in enumerate(coeffs):
-            if k % 2 == 0:
-                c0 += c * Fraction(1, 3) ** (k // 2)
-            else:
-                c1 += c * Fraction(1, 3) ** ((k - 1) // 2)
-        return c0, c1
+        # the remainder modulo t^2 - 1/3: (constant, t-coefficient)
+        r = xp.divmod_exact(coeffs, [Fraction(-1, 3), Fraction(0), Fraction(1)])[1]
+        return tuple(r + [Fraction(0)] * (2 - len(r)))
 
     X, Y, Z = (c for c in dual.coeff_lists())
     x0, x1 = reduce_mod(X)

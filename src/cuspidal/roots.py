@@ -3,7 +3,9 @@
 Simultaneous Aberth-Ehrlich iteration seeded on a perturbed circle,
 followed by a Newton polish.  Each root carries the inclusion radius
 deg * |p(z)/p'(z)| (the smallest root distance of p from z is bounded by
-this, by the partial-fraction identity p'/p = sum 1/(z - r_i)).
+this, by the partial-fraction identity p'/p = sum 1/(z - r_i)), computed
+exactly on Gaussian integers and rounded up (``inclusion_radius``): it is
+the program's one root certificate.
 
 Coefficient lists are ascending: p(z) = c[0] + c[1] z + ... + c[d] z^d.
 """
@@ -115,22 +117,10 @@ def _eval_error_bound(coeffs, z):
     return 4.0 * len(coeffs) * 2.220446049250313e-16 * s + under
 
 
-def _certified_radius(coeffs, z):
-    """Inclusion radius deg * (|p| + eval error) / |p'|; inf when p' drowns."""
-    n = len(coeffs) - 1
-    p, dp = eval_poly_deriv(coeffs, z)
-    num = abs(p) + _eval_error_bound(coeffs, z)
-    deriv_err = _eval_error_bound([i * c for i, c in enumerate(coeffs)][1:], z)
-    if abs(dp) <= 10.0 * deriv_err:
-        return math.inf
-    r = n * num / abs(dp)
-    return r if math.isfinite(r) else math.inf
-
-
-def root_disks(coeffs):
-    """All complex roots of an ascending coefficient list, with certified
-    radii, in no particular order; the disks are not checked to be
-    disjoint.  Exact zero roots are peeled off symbolically first."""
+def approximate_roots(coeffs):
+    """All complex roots of an ascending coefficient list, as floats, in no
+    particular order: Aberth values polished by Newton, without radii.
+    Exact zero roots are peeled off symbolically first."""
     coeffs = [complex(c) for c in coeffs]
     if not coeffs or coeffs[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
@@ -148,24 +138,81 @@ def root_disks(coeffs):
             approx = [-coeffs[0] / coeffs[1]]
         else:
             approx = _aberth(coeffs)
-        approx = [newton_polish(coeffs, z) for z in approx]
-        found = [ApproxRoot(z, _certified_radius(coeffs, z)) for z in approx]
-    if zero_mult:
-        found.append(ApproxRoot(0j, 0.0))
-    return found
+        found = [newton_polish(coeffs, z) for z in approx]
+    return found + [0j] * zero_mult
 
 
 def roots_univariate(coeffs):
-    """All complex roots of an ascending coefficient list, with certified radii.
+    """All complex roots of an ascending coefficient list, each with its
+    ``inclusion_radius``.
 
-    The roots must be simple: inclusion disks that overlap (a multiple root
-    or an unresolved cluster) raise RootFindingError.  Exact zero roots are
-    peeled off symbolically first.
+    The coefficients may be exact: Aberth runs on their rounded floats, and
+    the radii certify the exact polynomial.  The roots must be simple:
+    inclusion disks that overlap (a multiple root or an unresolved cluster)
+    raise RootFindingError.  Exact zero roots are peeled off symbolically
+    first.
     """
-    found = root_disks(coeffs)
+    found = [ApproxRoot(z, inclusion_radius(coeffs, z)) for z in approximate_roots(coeffs)]
     for i, a in enumerate(found):
         for b in found[i + 1:]:
             if a.overlaps(b):
                 raise RootFindingError(
                     f"roots {a.value:.6g} and {b.value:.6g} have overlapping certificates")
     return sorted(found, key=lambda r: (r.value.real, r.value.imag))
+
+
+def _ratios(c):
+    """((a, b), (e, f)) with c = a/b + i e/f exactly, for an int, Fraction,
+    float or complex c, or a (real, imaginary) pair of them: every float is
+    a dyadic rational."""
+    if isinstance(c, complex):
+        c = c.real, c.imag
+    re, im = c if isinstance(c, tuple) else (c, 0)
+    return re.as_integer_ratio(), im.as_integer_ratio()
+
+
+def gaussian_horner(coeffs, z):
+    """(P, Q, s) with p(z) = P/s and p'(z) = Q/s exactly, P and Q Gaussian
+    integers (re, im) and s > 0, for ascending Gaussian rational
+    coefficients of p and a Gaussian rational z, each in a form ``_ratios``
+    takes: Horner on Python ints."""
+    parts = [_ratios(c) for c in coeffs]
+    den = math.lcm(*(b for pair in parts for _, b in pair))
+    (u, du), (v, dv) = _ratios(z)
+    d = math.lcm(du, dv)  # z = (u + iv)/d
+    u, v = u * (d // du), v * (d // dv)
+    pr = pi = qr = qi = 0
+    dk = den
+    for (a, b), (e, f) in reversed(parts):  # p <- p z + c and p' <- p' z + p, times powers of d
+        qr, qi = qr * u - qi * v + pr, qr * v + qi * u + pi
+        pr, pi = pr * u - pi * v + a * (dk // b), pr * v + pi * u + e * (dk // f)
+        dk *= d
+    return (pr, pi), (qr * d, qi * d), dk // d
+
+
+def inclusion_radius(coeffs, z):
+    """n|p(z)|/|p'(z)| for p of degree n = len(coeffs) - 1, with coefficients
+    and z as in ``gaussian_horner``: exact, and rounded up to a float.  The
+    disk about z holds a root of p, since p'/p = sum 1/(z - r_i) (Rump, Ten
+    methods to bound multiple roots of polynomials, 2003).  0 if p(z) = 0,
+    inf if p'(z) = 0 or the radius leaves double precision."""
+    return horner_radius(len(coeffs) - 1, gaussian_horner(coeffs, z))
+
+
+def horner_radius(n, horner):
+    """``inclusion_radius`` of a degree n polynomial from its
+    ``gaussian_horner`` values at the center."""
+    (pr, pi), (qr, qi), _ = horner
+    num, den = n ** 2 * (pr * pr + pi * pi), qr * qr + qi * qi
+    if not (num and den):
+        return math.inf if num else 0.0
+    # the squared radius num/den may leave the float range where the radius
+    # does not: take the root of num/den scaled by an even power of two
+    shift = max(0, 128 - num.bit_length() + den.bit_length()) & ~1
+    try:
+        radius = math.ldexp(math.isqrt((num << shift) // den) + 1, -shift // 2)
+    except OverflowError:
+        return math.inf
+    while (r := radius.as_integer_ratio())[0] ** 2 * den < num * r[1] ** 2:
+        radius = math.nextafter(radius, math.inf)
+    return radius

@@ -12,7 +12,7 @@ from cuspidal.continuation import (
 )
 from cuspidal.monodromy import _start_roots, build_loops, fiber_evaluator
 from cuspidal.quartic import critical_values, cuspidal_quartic, sheared_curve
-from cuspidal.roots import roots_univariate
+from cuspidal.roots import inclusion_radius, roots_univariate
 
 
 def fiber_c(x):
@@ -32,7 +32,7 @@ def circle(center, radius, start_angle=0.0, turns=1.0, steps=24):
 def test_constant_path_is_constant():
     paths = continue_roots(fiber_c, [-0.5, -0.5, -0.5], initial=fiber_roots(-0.5))
     for p in paths:
-        assert all(abs(z - p.samples[0][1]) < 1e-14 for _, z in p.samples)
+        assert all(abs(z - p.samples[0]) < 1e-14 for z in p.samples)
 
 
 def test_real_strands_become_real_past_tangency():
@@ -44,7 +44,7 @@ def test_real_strands_become_real_past_tangency():
     start_real = sorted(abs(z.imag) < 1e-12 for z in start)
     assert start_real == [False, False, True, True]
     for p in paths:
-        assert abs(p.samples[-1][1].imag) < 1e-9  # four real roots at -1.05
+        assert abs(p.samples[-1].imag) < 1e-9  # four real roots at -1.05
 
 
 def test_straight_path_through_critical_value_fails():
@@ -112,12 +112,14 @@ def _from_roots(roots):
 def test_newton_track_stops_at_the_rounding_floor():
     # two roots 2e-5 apart: p/p' is rounding noise above the step test, so
     # only the rounding-floor stop can accept the run, and only while the
-    # inclusion radius stays below sep/6
+    # exact inclusion radius at its end stays below sep/6
     w, d = 0.7123 + 0.3071j, 1e-5
     coeffs = _from_roots([w + d, w - d, -1.3 + 0.2j, 0.4 - 1.1j])
     converged, z = _newton_track(coeffs, w + 1.01 * d, 2 * d)
     assert converged and abs(z - (w + d)) < 1e-9
-    assert not _newton_track(coeffs, w + 1.01 * d, 1e-9)[0]
+    radius = inclusion_radius(coeffs, z)
+    assert 1e-13 < radius < 1e-12
+    assert not _newton_track(coeffs, w + 1.01 * d, 5 * radius)[0]
 
 
 def test_newton_track_rejects_an_unresolved_cluster():
@@ -131,9 +133,7 @@ def reference_continue_roots(fiber_coeffs, path, initial):
     separation afresh and tries the strands in index order."""
     positions = [complex(z) for z in initial]
     n = len(positions)
-    lengths = [abs(b - a) for a, b in zip(path, path[1:])]
-    total = sum(lengths) or 1.0
-    paths = [StrandPath(k, [(0.0, positions[k])]) for k in range(n)]
+    paths = [StrandPath(k, [positions[k]]) for k in range(n)]
 
     def advance(x_from, x_to, pos, depth):
         coeffs = fiber_coeffs(x_to)
@@ -145,27 +145,21 @@ def reference_continue_roots(fiber_coeffs, path, initial):
                 break
             new.append(z2)
         else:
-            return [(x_to, new)]
+            return [new]
         if depth >= HALVING_BUDGET:
             raise ContinuationError("halving budget exhausted")
         mid = (x_from + x_to) / 2
         first = advance(x_from, mid, pos, depth + 1)
-        return first + advance(mid, x_to, first[-1][1], depth + 1)
+        return first + advance(mid, x_to, first[-1], depth + 1)
 
-    done = 0.0
-    for seg, (xa, xb) in enumerate(zip(path, path[1:])):
+    for xa, xb in zip(path, path[1:]):
         if xa == xb:
             continue
         accepted = advance(xa, xb, positions, 0)
-        for x_here, pos in accepted:
-            t = (done + abs(x_here - xa) / lengths[seg] * lengths[seg]) / total
+        for pos in accepted:
             for k in range(n):
-                paths[k].samples.append((t, pos[k]))
-        positions = accepted[-1][1]
-        done += lengths[seg]
-    for k in range(n):
-        if paths[k].samples[-1][0] != 1.0:
-            paths[k].samples.append((1.0, paths[k].samples[-1][1]))
+                paths[k].samples.append(pos[k])
+        positions = accepted[-1]
     return paths
 
 

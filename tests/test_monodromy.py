@@ -35,7 +35,7 @@ def factorization():
 
 def _synthetic_paths(fn_list, steps=64):
     times = [k / steps for k in range(steps + 1)]
-    return [StrandPath(i, [(t, fn(t)) for t in times]) for i, fn in enumerate(fn_list)]
+    return [StrandPath(i, [fn(t) for t in times]) for i, fn in enumerate(fn_list)]
 
 
 def test_sweep_constant_paths_is_empty():

@@ -1,8 +1,25 @@
+import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cuspidal.roots import RootFindingError, _eval_error_bound, roots_univariate
+from cuspidal.roots import (
+    RootFindingError, _eval_error_bound, inclusion_radius, roots_univariate,
+)
+
+
+def _from_roots(roots, lead):
+    """Ascending coefficients of lead * prod (x - r)."""
+    coeffs = [lead]
+    for r in roots:
+        coeffs = [0j] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= r * coeffs[i + 1]
+    return coeffs
 
 
 def test_simple_mode_rejects_double_roots():
@@ -19,12 +36,7 @@ def test_random_polynomials_recover_their_roots():
     rng = random.Random(42)
     for _ in range(20):
         true = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randrange(2, 7))]
-        coeffs = [1 + 0j]
-        for r in true:
-            coeffs = [0j] + coeffs
-            for i in range(len(coeffs) - 1):
-                coeffs[i] -= r * coeffs[i + 1]
-        got = roots_univariate(coeffs)
+        got = roots_univariate(_from_roots(true, 1 + 0j))
         assert sum(r.multiplicity for r in got) == len(true)
         for r in true:
             assert min(abs(r - g.value) for g in got) < 1e-7
@@ -50,3 +62,66 @@ def test_eval_error_bound_of_normal_size_is_the_relative_term():
         for c in reversed(coeffs):
             s = s * abs(z) + abs(c)
         assert _eval_error_bound(coeffs, z) == 4.0 * len(coeffs) * 2.220446049250313e-16 * s
+
+
+_small = st.integers(-9, 9)
+
+
+def _polys(coeff, zero):
+    """Ascending coefficient lists of degree 2 to 6."""
+    return st.lists(coeff, min_size=3, max_size=7).filter(lambda c: c[-1] != zero)
+
+
+_integer_or_gaussian = _polys(_small, 0) | _polys(st.tuples(_small, _small), (0, 0))
+_float_points = st.complex_numbers(max_magnitude=20, allow_nan=False, allow_infinity=False)
+_exact_points = st.tuples(*[st.fractions(-20, 20, max_denominator=64)] * 2)
+
+
+def _mp(c):
+    """c (int, Fraction, float or complex, or a (real, imaginary) pair) as an
+    mpmath number, exact or at the working precision."""
+    parts = c if isinstance(c, tuple) else (c.real, c.imag)
+    return mpmath.mpc(*(mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction)
+                        else mpmath.mpf(x) for x in parts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=_integer_or_gaussian, z=_float_points | _exact_points)
+def test_the_inclusion_disk_holds_a_50_digit_root(coeffs, z):
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([_mp(c) for c in reversed(coeffs)], maxsteps=400, extraprec=200)
+        # a multiple root is resolved only to a fraction of the digits
+        assume(all(abs(a - b) > 1e-10 for i, a in enumerate(roots) for b in roots[i + 1:]))
+        radius = inclusion_radius(coeffs, z)
+        assert min(abs(_mp(z) - t) for t in roots) <= radius + mpmath.mpf(10) ** -30
+    as_complex = [complex(*c) if isinstance(c, tuple) else c for c in coeffs]
+    assert inclusion_radius(as_complex, z) == radius
+
+
+@pytest.mark.parametrize("coeffs, radius", [
+    ([-1e-200, 1], 1e-200),  # the squared radius underflows
+    ([1e300, 1], 1e300),  # the squared radius overflows
+    ([1e300, 1e-300], math.inf),  # the radius overflows
+])
+def test_the_inclusion_radius_outside_the_squared_float_range(coeffs, radius):
+    assert inclusion_radius(coeffs, 0j) == radius
+
+
+_gaussian_roots = st.lists(st.builds(complex, _small, _small), min_size=2, max_size=6)
+
+
+@given(roots=_gaussian_roots, lead=st.builds(complex, _small, _small).filter(bool),
+       exact=st.booleans())
+def test_the_inclusion_radius_is_zero_at_a_root(roots, lead, exact):
+    z = roots[0]
+    assert inclusion_radius(_from_roots(roots, lead), (Fraction(z.real), Fraction(z.imag))
+                            if exact else z) == 0.0
+
+
+@given(a=st.builds(complex, _small, _small), c=st.builds(complex, _small, _small).filter(bool),
+       rest=_gaussian_roots)
+def test_the_inclusion_radius_is_infinite_where_the_derivative_vanishes(a, c, rest):
+    # p = c + (x - a)^2 q has p(a) = c and p'(a) = 0
+    p = _from_roots([a, a] + rest[:4], 1)
+    p[0] += c
+    assert inclusion_radius(p, a) == math.inf
