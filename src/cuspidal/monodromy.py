@@ -1,14 +1,18 @@
 """Braid monodromy of a plane curve by continuation around critical values.
 
-Loops run along the real axis from the basepoint, take a counterclockwise
-semicircular detour above every intermediate critical value, circle the
-target counterclockwise, and come back the way they went.  They are
-emitted in the counterclockwise cyclic order of their departure
-directions: targets left of the basepoint farthest first, then targets to
-the right nearest first.  Only the walk out and the circle are tracked:
-the circle ends on the walk's end fiber permuted, and each strand comes
-back along the walk of the strand it ended on, reversed, so the return leg
-sweeps to exactly the inverse of the walk's word.
+Loops run along the real axis from the basepoint to a circle about their
+target, go once around it counterclockwise and come back the way they
+went.  On each side of the basepoint the walks are prefixes of one path:
+a walk passes each nearer critical value along the first half of that
+value's own circle, a counterclockwise half-turn, above it going left and
+below it going right.  Loops are emitted in the counterclockwise cyclic
+order of their departure directions: targets left of the basepoint
+farthest first, then targets to the right nearest first.  Each axis leg
+and each half circle of that tree is tracked once; a loop's walk is the
+tree's samples up to its circle, the circle ends on the walk's end fiber
+permuted, and each strand comes back along the walk of the strand it
+ended on, reversed, so the return leg sweeps to exactly the inverse of
+the walk's word.
 
 The strand sweep orders the fiber by real part and emits one signed Artin
 letter per transversal exchange of neighbors; a counterclockwise exchange,
@@ -34,7 +38,6 @@ from .quartic import (CurveError, classify_real_fiber, critical_values,
 from .roots import roots_univariate
 
 DEFAULT_SHEAR = Fraction(1, 100)
-DETOUR_STEPS = 8  # waypoints on each semicircular detour
 MAX_ROTATIONS = 16  # sweep retries, each rotating the fiber plane by pi/17
 
 
@@ -54,8 +57,10 @@ class _Ambiguous(Exception):
 @dataclass
 class LoopSpec:
     """Walk from the basepoint to the circle around target, and the circle,
-    which starts at walk[-1] and goes once around.  The loop returns along
-    the walk reversed; that leg is not tracked."""
+    which starts at walk[-1] and goes once counterclockwise around target.
+    The walk to the next farther target on the same side begins with this
+    walk and the first half of this circle.  The loop returns along the
+    walk reversed; that leg is not tracked."""
     target: complex
     multiplicity: int
     walk: list
@@ -89,31 +94,27 @@ class MonodromyResult:
         }
 
 
-def _axis_walk(x_from, x_to, obstacles, r_detour):
-    """Real-axis walk with counterclockwise semicircle detours above obstacles."""
-    direction = 1.0 if x_to > x_from else -1.0
-    lo, hi = min(x_from, x_to), max(x_from, x_to)
-    between = sorted((o for o in obstacles if lo + 1e-12 < o < hi - 1e-12),
-                     reverse=direction < 0)
-    pts = [complex(x_from)]
-    for o in between:
-        entry = o + direction * r_detour * (-1.0)
-        pts.append(complex(entry))
-        # counterclockwise half-turn: from the approach side over the top
-        start = 0.0 if direction < 0 else math.pi
-        for k in range(1, DETOUR_STEPS + 1):
-            ang = start + math.pi * k / DETOUR_STEPS
-            pts.append(o + r_detour * cmath.exp(1j * ang))
-    pts.append(complex(x_to))
-    return pts
-
-
 def build_loops(criticals, basepoint, circle_steps=32):
     """Loops (walk and circle waypoints) in counterclockwise cyclic order:
-    left targets farthest first, then right targets nearest first.  Circles
-    have a quarter of the smallest distance among critical values and
-    basepoint as radius.  The return leg of each loop is its walk reversed,
-    so it has no waypoints of its own."""
+    left targets farthest first, then right targets nearest first.
+
+    Circles have a quarter of the smallest distance among critical values
+    and basepoint as radius r, start on the axis at r from their target on
+    the basepoint's side and turn counterclockwise.  The walks on each side
+    of the basepoint are prefixes of one path: the walk to the nearest
+    target is the axis leg from the basepoint, and the walk to each farther
+    one continues along the first half of the previous target's circle, the
+    same waypoints, and an axis leg to the next circle's start.  So a walk
+    passes each intermediate critical value by a counterclockwise half-turn,
+    above it going left and below it going right.  The return leg of each
+    loop is its walk reversed, so it has no waypoints of its own.
+
+    Raises ValueError unless circle_steps is even and at least 4, so that
+    the half circle ends on the axis and does not pass through its center.
+    """
+    if circle_steps < 4 or circle_steps % 2:
+        raise ValueError(f"circle_steps must be an even number of at least 4, "
+                         f"not {circle_steps}")
     reals = []
     for value, mult in criticals:
         value = complex(value)
@@ -125,20 +126,22 @@ def build_loops(criticals, basepoint, circle_steps=32):
     gaps = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]]
     dmin = min(gaps + [min(abs(basepoint - v) for v in values)])
     r = dmin / 4
-    r_detour = min(2 * r, dmin / 3)
-    left = sorted((v, m) for v, m in reals if v < basepoint)
-    right = sorted((v, m) for v, m in reals if v > basepoint)
-    loops = []
-    for v, m in left + right:
-        side = 1.0 if basepoint > v else -1.0
-        approach = v + side * r
-        obstacles = [w for w in values if w != v]
-        walk = _axis_walk(basepoint, approach, obstacles, r_detour)
-        start_angle = 0.0 if side > 0 else math.pi
-        circle = [v + r * cmath.exp(1j * (start_angle + 2 * math.pi * k / circle_steps))
-                  for k in range(1, circle_steps + 1)]
-        loops.append(LoopSpec(complex(v), m, walk, walk[-1:] + circle))
-    return loops, r
+
+    def side(targets, sign):
+        """Loops about targets, nearest first, on the side sign (+1 left)."""
+        walk, loops = [complex(basepoint)], []
+        start_angle = 0.0 if sign > 0 else math.pi
+        for v, m in targets:
+            walk = walk + [complex(v + sign * r)]
+            circle = [v + r * cmath.exp(1j * (start_angle + 2 * math.pi * k / circle_steps))
+                      for k in range(1, circle_steps + 1)]
+            loops.append(LoopSpec(complex(v), m, walk, walk[-1:] + circle))
+            walk = walk + circle[:circle_steps // 2]
+        return loops
+
+    left = side(sorted(((v, m) for v, m in reals if v < basepoint), reverse=True), 1.0)
+    right = side(sorted((v, m) for v, m in reals if v > basepoint), -1.0)
+    return left[::-1] + right, r
 
 
 def _decompose_adjacent_swaps(order, new_order):
@@ -296,12 +299,43 @@ def _start_roots(sheared, basepoint):
     return sorted(out, key=lambda r: (r.value.real, r.value.imag))
 
 
-def _closed_loop_paths(walk, circle, perm):
-    """Strand paths of the whole loop from the tracked walk and circle:
-    strand k walks out, circles, and comes back along the walk of strand
-    perm[k] reversed, where the circle brought it."""
-    return [StrandPath(k, w.samples + c.samples[1:] + walk[perm[k]].samples[::-1])
-            for k, (w, c) in enumerate(zip(walk, circle))]
+def _track_side(sheared, loops, start, targets, clearance):
+    """Closed strand paths of the loops on one side of the basepoint, given
+    nearest target first.
+
+    Their walks are prefixes of one path (see ``build_loops``), and each
+    segment of it is tracked once: a loop's walk adds an axis leg to the
+    walk tracked so far, and the leg and the two halves of the loop's
+    circle are one ``continue_roots`` call each, with the fiber centred at
+    the loop's target; the first half also continues the walk to the next
+    target.  Each leg and circle is checked for clearance once, against
+    every critical value but the loop's target.  Strand k walks out,
+    circles, and comes back along the walk of strand perm[k] reversed,
+    where the circle brought it.
+    """
+    # the first `tracked` walk waypoints are tracked; walk[k] holds strand
+    # k's samples along them
+    tracked, walk, families = 1, [[z] for z in start], []
+    for loop in loops:
+        leg = loop.walk[tracked - 1:]
+        half = len(loop.circle) // 2
+        check_clearance(leg + loop.circle[1:], [t for t in targets if t != loop.target],
+                        clearance)
+        fiber = fiber_evaluator(sheared, loop.target.real)
+        for s, path in zip(walk, continue_roots(fiber, leg, [s[-1] for s in walk])):
+            s += path.samples[1:]
+        ends = [s[-1] for s in walk]
+        out = continue_roots(fiber, loop.circle[:half + 1], ends)
+        back = continue_roots(fiber, loop.circle[half:], [p.samples[-1] for p in out])
+        # loudly validates that the circle closed on the walk's end fiber
+        perm = end_permutation(back, ends)
+        families.append([StrandPath(k, walk[k] + o.samples[1:] + b.samples[1:]
+                                    + walk[perm[k]][::-1])
+                         for k, (o, b) in enumerate(zip(out, back))])
+        for s, path in zip(walk, out):
+            s += path.samples[1:]
+        tracked = len(loop.walk) + half
+    return families
 
 
 def _strand_names(curve, basepoint, start_roots):
@@ -339,17 +373,11 @@ def monodromy_factorization(curve=None, basepoint=None, shear=DEFAULT_SHEAR,
     start_roots = _start_roots(sheared, basepoint)
     names = _strand_names(curve, basepoint, start_roots)
     start = [r.value for r in start_roots]
-    families = []
-    for loop in loops:
-        others = [l.target for l in loops if l is not loop]
-        check_clearance(loop.walk + loop.circle, others, 0.9 * min(radius, 1.0))
-        fiber = fiber_evaluator(sheared, loop.target.real)
-        walk = continue_roots(fiber, loop.walk, initial=start)
-        ends = [p.samples[-1] for p in walk]
-        circle = continue_roots(fiber, loop.circle, initial=ends)
-        # loudly validates that the circle closed on the walk's end fiber
-        perm = end_permutation(circle, ends)
-        families.append(_closed_loop_paths(walk, circle, perm))
+    targets = [loop.target for loop in loops]
+    clearance = 0.9 * min(radius, 1.0)
+    left = [loop for loop in loops if loop.target.real < basepoint]
+    families = (_track_side(sheared, left[::-1], start, targets, clearance)[::-1]
+                + _track_side(sheared, loops[len(left):], start, targets, clearance))
     factors, rotation = _one_frame(families)
     return MonodromyResult(
         n_strands=len(start_roots), factors=factors, loops=loops,

@@ -205,30 +205,33 @@ def fiber_solve(curve, x0):
     doubles both root pairs, and B(x0) = 0 gives the root y = 0 with
     multiplicity 2.  The values come without cancellation: each exact value
     is rounded once, the larger z-root takes -A and -sqrt(Theta) in one half
-    plane, and the smaller is B over the larger.  Each radius is the
-    exact ``inclusion_radius`` of the fiber polynomial at the root.
+    plane, and the smaller pair is +-sqrt(B / larger), with the exact B
+    scaled by an even power of two (``_scaled_sqrt``), so that neither B
+    nor the smaller z-root is rounded to a float where it would underflow.
+    Each radius is the exact ``inclusion_radius`` of the fiber polynomial
+    at the root.
 
     Raises CurveError for a curve whose fiber is not biquadratic, and
-    OverflowError when A(x0), B(x0), Theta(x0) or the roots leave double
+    OverflowError when A(x0), Theta(x0) or the roots leave double
     precision."""
     A, B = biquadratic_parts(curve)
     (ar, ai), (br, bi) = exact = [_gaussian_value(p, x0) for p in (A, B)]
     th_exact = (ar * ar - ai * ai - 4 * br, 2 * ar * ai - 4 * bi)
+    double, zero = th_exact == (0, 0), (br, bi) == (0, 0)
     try:
-        a, b, th = (complex(*map(float, v)) for v in exact + [th_exact])
+        a, th = (complex(*map(float, v)) for v in (exact[0], th_exact))
+        sq = cmath.sqrt(th)
+        if (a.conjugate() * sq).real < 0:
+            sq = -sq
+        big = (-a - sq) / 2
+        ys = [cmath.sqrt(big)]
+        if not (double or zero):
+            ys.append(_scaled_sqrt(exact[1], big))
     except OverflowError:
         raise OverflowError(
             f"fiber roots over x = {x0} overflow double precision") from None
-    double, zero = th_exact == (0, 0), (br, bi) == (0, 0)
-    sq = cmath.sqrt(th)
-    if (a.conjugate() * sq).real < 0:
-        sq = -sq
-    big = (-a - sq) / 2
-    zs = [big] if double else [big, b / big]
-    if zero:
-        zs.pop()  # the smaller z-root is 0
     mult = 2 if double else 1
-    values = [(s, mult) for r in map(cmath.sqrt, zs) for s in (r, -r)]
+    values = [(s, mult) for r in ys for s in (r, -r)]
     values += [(0j, 2 * mult)] if zero else []
     if not all(cmath.isfinite(v) for v, _ in values):
         raise OverflowError(f"fiber roots over x = {x0} overflow double precision")
@@ -236,6 +239,23 @@ def fiber_solve(curve, x0):
     out = [ApproxRoot(v, inclusion_radius(fiber, v), m) for v, m in values]
     out.sort(key=lambda r: (r.value.real, r.value.imag))
     return out
+
+
+def _scaled_sqrt(b, w):
+    """sqrt(b / w) for the exact nonzero Gaussian rational b = (re, im) and
+    the nonzero complex float w.
+
+    b is divided by 4^e, e chosen so that the quotient by w is near 1, and
+    only then rounded to a float; the root is scaled back by 2^e.  Where
+    float(b) and float(b) / w are normal doubles, this is bit for bit
+    sqrt(float(b) / w), since power-of-two scaling commutes with rounding
+    there.  Raises OverflowError when the root leaves double precision."""
+    size = max(abs(b[0]), abs(b[1]))
+    e = (size.numerator.bit_length() - size.denominator.bit_length()
+         - math.frexp(abs(w))[1]) // 2
+    scale = Fraction(4) ** -e
+    root = cmath.sqrt(complex(float(b[0] * scale), float(b[1] * scale)) / w)
+    return complex(math.ldexp(root.real, e), math.ldexp(root.imag, e))
 
 
 def _gaussian_value(poly, x0):

@@ -417,13 +417,16 @@ def test_fiber_distinct_roots_match_the_exact_pattern(capsys, x, pattern, distin
     assert all(c["pass"] for c in data["checks"])
 
 
-@pytest.mark.parametrize("x", ["1e30", "-1e30", "1e30j", "1e20j", "1e19", "1e-8", "1e-100"])
+@pytest.mark.parametrize("x", ["1e30", "-1e30", "1e30j", "1e20j", "1e19", "1e-8", "1e-100",
+                               "1e-120", "1e-200"])
 def test_fiber_with_merged_simple_roots_fails_root_count(capsys, x):
     # roots that a relative merge tolerance of 1e-9 would merge: at large |x|
     # the two root pairs are 2.8 / sqrt|x| apart relative to their size, at
     # 1e-8 the small pair is 7.7e-13 apart; exact multiplicities and residual
     # radii keep them four simple roots in disjoint disks, so root_count passes;
-    # at 1e-100 the small pair's squared radius underflows double precision
+    # at 1e-100 the small pair's squared radius underflows double precision,
+    # at 1e-120 and 1e-200 B itself does, while the pair, +-3.8e-181i and
+    # +-3.8e-301i, are normal doubles
     code, out = run_cli(capsys, "fiber", f"--x={x}")
     assert code == 0
     data = _strict_json(out)

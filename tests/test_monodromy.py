@@ -79,6 +79,30 @@ def test_loop_order_and_multiplicities():
     assert [loop.multiplicity for loop in loops] == [3, 3, 1, 3]
 
 
+@pytest.mark.parametrize("basepoint", [default_basepoint(), -1.06, 0.5, -2.0])
+def test_each_walk_continues_along_the_nearer_targets_half_circle(basepoint):
+    steps = 32
+    crit = critical_values(cuspidal_quartic(), DEFAULT_SHEAR)
+    loops, _ = build_loops(crit, basepoint, steps)
+    left = [loop for loop in loops if loop.target.real < basepoint][::-1]
+    right = loops[len(left):]
+    for side, sign in ((left, 1), (right, -1)):
+        if side:
+            assert side[0].walk == [complex(basepoint), side[0].circle[0]]
+        for near, far in zip(side, side[1:]):
+            half = near.circle[1:steps // 2 + 1]
+            assert far.walk == near.walk + half + [far.circle[0]]
+            # counterclockwise: above the value going left, below going right
+            assert all(sign * z.imag > 0 for z in half[:-1])
+            assert sign * (near.target.real - half[-1].real) > 0  # ends past the value
+
+
+@pytest.mark.parametrize("steps", [-2, 0, 2, 31])
+def test_build_loops_rejects_circle_steps_without_a_half_circle_on_the_axis(steps):
+    with pytest.raises(ValueError, match="circle_steps"):
+        build_loops([(-1 + 0j, 1), (0j, 3)], -0.5, steps)
+
+
 def test_build_loops_rejects_any_nonzero_imaginary_part():
     crit = [(complex(-1.0, 1e-12), 1), (0j, 3)]
     with pytest.raises(SweepError, match="not real"):
@@ -289,6 +313,7 @@ def _factors_with_a_tracked_return(shear, basepoint, circle_steps):
     (Fraction(1, 10), -1.09, 32),  # between -9/8 and the right split cusp value
     (Fraction(1, 679), 0.34010940278577345, 256),  # right of every critical value
     (Fraction(1, 1000), -0.3465, 32),
+    (DEFAULT_SHEAR, -1.06, 32),  # between c1 and c2: the right walk passes -1 below
 ])
 def test_the_walk_reversed_reads_as_a_tracked_return(shear, basepoint, steps):
     result = monodromy_factorization(basepoint=basepoint, shear=shear,
@@ -296,6 +321,22 @@ def test_the_walk_reversed_reads_as_a_tracked_return(shear, basepoint, steps):
     factors, rotation = _factors_with_a_tracked_return(shear, basepoint, steps)
     assert [f.letters for f in result.factors] == [f.letters for f in factors]
     assert result.sweep_rotation == rotation
+
+
+@pytest.mark.parametrize("basepoint", [default_basepoint(), -1.06, 0.5])
+def test_no_waypoint_segment_is_tracked_twice(monkeypatch, basepoint):
+    calls = []
+
+    def counted(fiber, path, initial):
+        calls.append(list(zip(path, path[1:])))
+        return continue_roots(fiber, path, initial)
+
+    monkeypatch.setattr(monodromy, "continue_roots", counted)
+    result = monodromy_factorization(basepoint=basepoint)
+    segments = [segment for call in calls for segment in call]
+    assert len(segments) == len(set(segments))
+    # one call for each loop's axis leg and for each half of its circle
+    assert len(calls) == 3 * len(result.loops)
 
 
 def test_a_circle_that_does_not_close_on_the_walk_end_fails(monkeypatch):

@@ -144,6 +144,26 @@ def test_fiber_solve_small_pair_near_a_zero_of_b():
     assert abs(abs(small.value) - expected) < 1e-9 * expected
 
 
+@pytest.mark.parametrize("x", [1e-120, 1e-200])
+def test_fiber_solve_small_pair_where_b_underflows(x):
+    # B(x) ~ x^3 is below the smallest double, the small pair
+    # +-i sqrt(B / -z_big) ~ +-0.385 x^1.5 i is not; z_big ~ -27/4 takes no
+    # cancellation, so 50 digits give the pair exactly enough
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(x)
+        a = 2 * d * d + 9 * d + Decimal(27) / 4
+        b = d ** 4 + d ** 3
+        y = (2 * b / (a + (a * a - 4 * b).sqrt())).sqrt()
+        roots = fiber_solve(cuspidal_quartic(), x)
+        small = sorted((r for r in roots if abs(r.value) < 1), key=lambda r: r.value.imag)
+        assert [r.multiplicity for r in roots] == [1, 1, 1, 1]
+        for r, expected in zip(small, (-y, y), strict=True):
+            assert r.value.real == 0
+            assert abs(Decimal(r.value.imag) - expected) <= Decimal(r.radius)
+            assert abs(Decimal(r.value.imag) - expected) < Decimal(1e-15) * y
+
+
 @needs_mpmath
 @pytest.mark.parametrize("x0", [-0.999999, -1.0000001, -0.5, 0.3 + 0.2j, 1e-8, 1e15,
                                 1e15j, 1e19, 1e20j, 1e30, -1e30, 1e30j])
