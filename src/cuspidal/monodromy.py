@@ -8,11 +8,13 @@ value's own circle, a counterclockwise half-turn, above it going left and
 below it going right.  Loops are emitted in the counterclockwise cyclic
 order of their departure directions: targets left of the basepoint
 farthest first, then targets to the right nearest first.  Each axis leg
-and each half circle of that tree is tracked once; a loop's walk is the
-tree's samples up to its circle, the circle ends on the walk's end fiber
-permuted, and each strand comes back along the walk of the strand it
-ended on, reversed, so the return leg sweeps to exactly the inverse of
-the walk's word.
+and each first half circle of that tree is tracked once; a loop's walk is
+the tree's samples up to its circle.  The curve is real and each circle
+is its own mirror image in the real axis, so the second half of a circle
+is not tracked: its strands are the first half's, conjugated and
+reversed.  The circle ends on the walk's end fiber permuted, and each
+strand comes back along the walk of the strand it ended on, reversed, so
+the return leg sweeps to exactly the inverse of the walk's word.
 
 The strand sweep orders the fiber by real part and emits one signed Artin
 letter per transversal exchange of neighbors; a counterclockwise exchange,
@@ -57,10 +59,13 @@ class _Ambiguous(Exception):
 @dataclass
 class LoopSpec:
     """Walk from the basepoint to the circle around target, and the circle,
-    which starts at walk[-1] and goes once counterclockwise around target.
-    The walk to the next farther target on the same side begins with this
-    walk and the first half of this circle.  The loop returns along the
-    walk reversed; that leg is not tracked."""
+    which starts at walk[-1] and goes once counterclockwise around target,
+    ending exactly where it starts.  The circle is its own mirror image in
+    the real axis: its second half is the first half conjugated and
+    reversed, and is read off the first, not tracked.  The walk to the next
+    farther target on the same side begins with this walk and the first
+    half of this circle.  The loop returns along the walk reversed; that
+    leg is not tracked either."""
     target: complex
     multiplicity: int
     walk: list
@@ -100,7 +105,10 @@ def build_loops(criticals, basepoint, circle_steps=32):
 
     Circles have a quarter of the smallest distance among critical values
     and basepoint as radius r, start on the axis at r from their target on
-    the basepoint's side and turn counterclockwise.  The walks on each side
+    the basepoint's side and turn counterclockwise.  Each circle is exactly
+    its own mirror image in the real axis: its far point is the axis point
+    at r beyond its target, its second half is the first half conjugated
+    and reversed, and it ends on its start.  The walks on each side
     of the basepoint are prefixes of one path: the walk to the nearest
     target is the axis leg from the basepoint, and the walk to each farther
     one continues along the first half of the previous target's circle, the
@@ -127,16 +135,21 @@ def build_loops(criticals, basepoint, circle_steps=32):
     dmin = min(gaps + [min(abs(basepoint - v) for v in values)])
     r = dmin / 4
 
+    half = circle_steps // 2
+
     def side(targets, sign):
         """Loops about targets, nearest first, on the side sign (+1 left)."""
         walk, loops = [complex(basepoint)], []
         start_angle = 0.0 if sign > 0 else math.pi
         for v, m in targets:
             walk = walk + [complex(v + sign * r)]
-            circle = [v + r * cmath.exp(1j * (start_angle + 2 * math.pi * k / circle_steps))
-                      for k in range(1, circle_steps + 1)]
-            loops.append(LoopSpec(complex(v), m, walk, walk[-1:] + circle))
-            walk = walk + circle[:circle_steps // 2]
+            first = (walk[-1:]
+                     + [v + r * cmath.exp(1j * (start_angle + 2 * math.pi * k / circle_steps))
+                        for k in range(1, half)]
+                     + [complex(v - sign * r)])
+            circle = first + [z.conjugate() for z in first[-2:0:-1]] + walk[-1:]
+            loops.append(LoopSpec(complex(v), m, walk, circle))
+            walk = walk + first[1:]
         return loops
 
     left = side(sorted(((v, m) for v, m in reals if v < basepoint), reverse=True), 1.0)
@@ -299,34 +312,59 @@ def _start_roots(sheared, basepoint):
     return sorted(out, key=lambda r: (r.value.real, r.value.imag))
 
 
+def _check_mirror(circle):
+    """Raise SweepError unless the circle starts and turns on the real axis,
+    ends on its start, and its second half is the first half conjugated and
+    reversed, which is what ``_track_side`` reads instead of tracking it."""
+    half = len(circle) // 2
+    if (len(circle) % 2 == 0 or circle[0].imag != 0 or circle[half].imag != 0
+            or circle[-1] != circle[0]
+            or any(circle[half + j] != circle[half - j].conjugate()
+                   for j in range(1, half))):
+        raise SweepError("loop circle is not its own mirror image in the real axis, "
+                         "so its second half cannot be read off the first")
+
+
 def _track_side(sheared, loops, start, targets, clearance):
     """Closed strand paths of the loops on one side of the basepoint, given
     nearest target first.
 
     Their walks are prefixes of one path (see ``build_loops``), and each
     segment of it is tracked once: a loop's walk adds an axis leg to the
-    walk tracked so far, and the leg and the two halves of the loop's
+    walk tracked so far, and the leg and the first half of the loop's
     circle are one ``continue_roots`` call each, with the fiber centred at
     the loop's target; the first half also continues the walk to the next
-    target.  Each leg and circle is checked for clearance once, against
-    every critical value but the loop's target.  Strand k walks out,
-    circles, and comes back along the walk of strand perm[k] reversed,
-    where the circle brought it.
+    target.  The second half is not tracked.  The curve is real, so the
+    fiber over conj(x) is the conjugate of the fiber over x, exactly in
+    floats too (``fiber_evaluator``'s tables are real): strand k goes on
+    from the far point along the conjugate of the first half of strand j,
+    reversed, where j is the strand whose conjugate ends where strand k
+    does.  A circle that is not its own mirror image raises SweepError.
+    Each leg and first half is checked for clearance once, against every
+    critical value but the loop's target; the targets are real, so the
+    mirror has the same clearance.  Strand k walks out, circles, and comes
+    back along the walk of strand perm[k] reversed, where the circle
+    brought it.
     """
     # the first `tracked` walk waypoints are tracked; walk[k] holds strand
     # k's samples along them
     tracked, walk, families = 1, [[z] for z in start], []
     for loop in loops:
+        _check_mirror(loop.circle)
         leg = loop.walk[tracked - 1:]
         half = len(loop.circle) // 2
-        check_clearance(leg + loop.circle[1:], [t for t in targets if t != loop.target],
-                        clearance)
+        check_clearance(leg + loop.circle[1:half + 1],
+                        [t for t in targets if t != loop.target], clearance)
         fiber = fiber_evaluator(sheared, loop.target.real)
         for s, path in zip(walk, continue_roots(fiber, leg, [s[-1] for s in walk])):
             s += path.samples[1:]
         ends = [s[-1] for s in walk]
         out = continue_roots(fiber, loop.circle[:half + 1], ends)
-        back = continue_roots(fiber, loop.circle[half:], [p.samples[-1] for p in out])
+        # the fiber over the real far point is its own conjugate: strand k
+        # sits where strand j's conjugate ends, and goes on along it reversed
+        mirror = end_permutation(out, [p.samples[-1].conjugate() for p in out])
+        back = [StrandPath(k, [z.conjugate() for z in out[j].samples[::-1]])
+                for k, j in enumerate(mirror)]
         # loudly validates that the circle closed on the walk's end fiber
         perm = end_permutation(back, ends)
         families.append([StrandPath(k, walk[k] + o.samples[1:] + b.samples[1:]

@@ -11,7 +11,7 @@ from cuspidal.braids import (
     BraidWord, braid_equal, compose_permutations, conjugate_power_witness,
     is_transposition, permutation_image,
 )
-from cuspidal.continuation import ContinuationError, StrandPath, continue_roots
+from cuspidal.continuation import StrandPath, continue_roots
 from cuspidal.groups import (
     abelianization, add_projective_relation, todd_coxeter, van_kampen,
 )
@@ -86,6 +86,11 @@ def test_each_walk_continues_along_the_nearer_targets_half_circle(basepoint):
     loops, _ = build_loops(crit, basepoint, steps)
     left = [loop for loop in loops if loop.target.real < basepoint][::-1]
     right = loops[len(left):]
+    for loop in loops:  # each circle is its own mirror image in the real axis
+        circle = loop.circle
+        assert circle[0].imag == circle[steps // 2].imag == 0
+        assert circle[-1] == circle[0]
+        assert circle[steps // 2:] == [z.conjugate() for z in circle[steps // 2::-1]]
     for side, sign in ((left, 1), (right, -1)):
         if side:
             assert side[0].walk == [complex(basepoint), side[0].circle[0]]
@@ -225,6 +230,31 @@ def test_fiber_evaluator_matches_exact_evaluation(shear, center, dx, im):
         assert error <= _eval_error_bound(taylor, abs(t))
 
 
+@settings(max_examples=200, deadline=None)
+@given(shear=st.fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=2000),
+       center=st.floats(-2.0, 1.0), re=st.floats(-3.0, 2.0), im=st.floats(-1.0, 1.0))
+def test_fiber_over_the_conjugate_is_the_exact_conjugate(shear, center, re, im):
+    # the Taylor tables are real floats, so Horner in conj(x) - center
+    # rounds every product and sum as the conjugate of the one in x - center
+    fiber = fiber_evaluator(sheared_curve(cuspidal_quartic(), shear), center)
+    x = complex(re, im)
+    assert fiber(x.conjugate()) == [c.conjugate() for c in fiber(x)]
+
+
+def test_continuation_along_the_conjugate_path_gives_the_conjugate_samples():
+    # the mirror that _track_side reads a circle's second half from
+    sheared = sheared_curve(cuspidal_quartic(), DEFAULT_SHEAR)
+    start = [r.value for r in _start_roots(sheared, default_basepoint())]
+    for loop in factorization().loops:
+        fiber = fiber_evaluator(sheared, loop.target.real)
+        path = loop.walk + loop.circle[1:len(loop.circle) // 2 + 1]
+        tracked = continue_roots(fiber, path, start)
+        mirrored = continue_roots(fiber, [x.conjugate() for x in path],
+                                  [z.conjugate() for z in start])
+        assert [[z.conjugate() for z in p.samples] for p in tracked] == [
+            p.samples for p in mirrored]
+
+
 def test_start_roots_share_real_parts_within_conjugate_pairs():
     sheared = sheared_curve(cuspidal_quartic(), Fraction(1, 679))
     roots = [r.value for r in _start_roots(sheared, 0.34010940278577345)]
@@ -265,17 +295,19 @@ def test_default_factorization_is_read_in_one_sweep_frame():
     _assert_one_sweep_frame(result)
 
 
-# At shear 1/9 with 20 circle steps the loop around the origin cusp sweeps
-# cleanly at rotation 0, the others only at pi/17; the basepoint fiber has a
-# conjugate pair, which the two frames order differently, so factors read
-# each in their own frame do not multiply to a factorization.
+# At shear 1/15 with 24 circle steps, between the nearer split cusp value
+# and the tangency, the loop around the nearer split cusp value sweeps
+# cleanly at rotation 0, the others only at pi/17; all four are read at
+# pi/17, since factors read each in their own frame need not multiply to a
+# factorization.
 def test_mixed_frame_input_is_read_in_one_frame():
-    result = monodromy_factorization(basepoint=-50 / 101, shear=Fraction(1, 9),
-                                     circle_steps=20, keep_paths=True)
+    result = monodromy_factorization(basepoint=-1.0496992563989496, shear=Fraction(1, 15),
+                                     circle_steps=24, keep_paths=True)
     _assert_one_sweep_frame(result)
-    assert braid_from_strand_paths(result.strand_paths[3])[1] == 0
+    assert result.sweep_rotation == 1
+    assert braid_from_strand_paths(result.strand_paths[1])[1] == 0
     assert [list(f.letters) for f in result.factors] == [
-        [3, 1, 1, 1, -3], [3, 3, 3], [-3, 2, 3], [-2, 1, 1, 2, 1, 2, -1]]
+        [3, 3, 1, 1, 1, -3, -3], [3, 3, 3], [2], [2, 3, 1, 2, 2, 2, -1, -3, -2]]
     perms = [permutation_image(f) for f in result.factors]
     assert all(is_transposition(p) for p in perms)
     prod = compose_permutations(perms, 4)
@@ -309,11 +341,16 @@ def _factors_with_a_tracked_return(shear, basepoint, circle_steps):
 
 @pytest.mark.parametrize("shear, basepoint, steps", [
     (DEFAULT_SHEAR, default_basepoint(), 32),
-    (Fraction(1, 9), -50 / 101, 20),  # the mixed-frame input
+    (Fraction(1, 9), -50 / 101, 20),  # a conjugate pair over the basepoint
     (Fraction(1, 10), -1.09, 32),  # between -9/8 and the right split cusp value
     (Fraction(1, 679), 0.34010940278577345, 256),  # right of every critical value
     (Fraction(1, 1000), -0.3465, 32),
     (DEFAULT_SHEAR, -1.06, 32),  # between c1 and c2: the right walk passes -1 below
+    # left of every critical value: every circle goes through its lower half
+    # first, and its upper half is the mirrored one
+    (Fraction(1, 10), -1.2225, 32),
+    (DEFAULT_SHEAR, -1.2, 128),
+    (Fraction(1, 15), -1.0496992563989496, 24),  # the mixed-frame input
 ])
 def test_the_walk_reversed_reads_as_a_tracked_return(shear, basepoint, steps):
     result = monodromy_factorization(basepoint=basepoint, shear=shear,
@@ -335,20 +372,48 @@ def test_no_waypoint_segment_is_tracked_twice(monkeypatch, basepoint):
     result = monodromy_factorization(basepoint=basepoint)
     segments = [segment for call in calls for segment in call]
     assert len(segments) == len(set(segments))
-    # one call for each loop's axis leg and for each half of its circle
-    assert len(calls) == 3 * len(result.loops)
+    # one call for each loop's axis leg and for the first half of its circle
+    assert len(calls) == 2 * len(result.loops)
+    for loop in result.loops:
+        second_half = loop.circle[len(loop.circle) // 2:]
+        assert not set(zip(second_half, second_half[1:])) & set(segments)
+
+
+def _half_circle(circle):
+    return circle[:len(circle) // 2 + 1]
+
+
+def _far_point_off_the_axis(circle):
+    # the far point as v + r e^(i pi) puts it, an ulp-sized height above
+    half = len(circle) // 2
+    return circle[:half] + [circle[half] + 1e-19j] + circle[half + 1:]
+
+
+def _second_half_moved(circle):
+    half = len(circle) // 2
+    return circle[:half + 1] + [circle[half + 1] * (1 + 1e-15)] + circle[half + 2:]
+
+
+def _factorize_with_corrupted_circles(monkeypatch, corrupt):
+    def corrupted(*args, **kwargs):
+        loops, radius = build_loops(*args, **kwargs)
+        for loop in loops:
+            loop.circle = corrupt(loop.circle)
+        return loops, radius
+
+    monkeypatch.setattr(monodromy, "build_loops", corrupted)
+    with pytest.raises(SweepError, match="not its own mirror"):
+        monodromy_factorization()
 
 
 def test_a_circle_that_does_not_close_on_the_walk_end_fails(monkeypatch):
-    def half_circles(*args, **kwargs):
-        loops, radius = build_loops(*args, **kwargs)
-        for loop in loops:
-            loop.circle = loop.circle[:len(loop.circle) // 2 + 1]
-        return loops, radius
+    _factorize_with_corrupted_circles(monkeypatch, _half_circle)
 
-    monkeypatch.setattr(monodromy, "build_loops", half_circles)
-    with pytest.raises(ContinuationError):
-        monodromy_factorization()
+
+@pytest.mark.parametrize("corrupt", [_far_point_off_the_axis, _second_half_moved])
+def test_a_circle_that_is_not_its_own_mirror_fails(monkeypatch, corrupt):
+    _factorize_with_corrupted_circles(monkeypatch, corrupt)
+
 
 
 @pytest.mark.parametrize("shear", [Fraction(1, 10), Fraction(1, 37), DEFAULT_SHEAR,
