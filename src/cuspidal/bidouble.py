@@ -2,7 +2,9 @@
 
 The cover is the rank-4 extension generated by z, w with z^2 = v + a w and
 w^2 = u + b z over the base ring Q[u, v, a, b]; elements are written on the
-module basis (1, z, w, zw).  The discriminant comes out as the norm of the
+module basis (1, z, w, zw).  The multiplication table is the triple of
+matrices (M_z, M_w, M_zw): M_z and M_w are read off the two relations, and
+M_zw is their product.  The discriminant comes out as the norm of the
 different R = 4zw - ab, and its normal form delta with the
 three cusps at (3/4 zeta^2, 3/4 zeta) are verified exactly in Q(zeta).
 """
@@ -100,87 +102,30 @@ class Cyclo3:
         return f"Cyclo3({self.x}, {self.y})"
 
 
-# -- cover data and the multiplication table ---------------------------------
+# -- the multiplication table -------------------------------------------------
 
-@dataclass(frozen=True)
-class CoverData:
-    u: MPoly
-    v: MPoly
-    a: MPoly
-    b: MPoly
+def multiplication_matrices():
+    """(M_z, M_w, M_zw): multiplication by z, w and zw on the basis
+    (1, z, w, zw), over Q[u, v, a, b].
 
-    @classmethod
-    def generic(cls):
-        u, v, a, b = ring(*BASE_VARS)
-        return cls(u, v, a, b)
-
-    def __post_init__(self):
-        vars_ = self.u.variables
-        for f in (self.v, self.a, self.b):
-            if f.variables != vars_:
-                raise ValueError("cover entries over different variable lists")
-
-
-@dataclass(frozen=True)
-class MultTable:
-    m_z: list
-    m_w: list
-    m_zw: list
-
-
-def _basis_mul(i, j, cover):
-    """Product of basis elements (1, z, w, zw), reduced to basis coordinates."""
-    u, v, a, b = cover.u, cover.v, cover.a, cover.b
-    vars_ = u.variables
-    one = MPoly.constant(1, vars_)
-    zero = MPoly.zero(vars_)
-
-    def vec(c0=zero, cz=zero, cw=zero, czw=zero):
-        return [c0, cz, cw, czw]
-
-    # multiplication by generators on the basis, from z^2 = v + aw, w^2 = u + bz
-    z_action = {
-        0: vec(cz=one),                        # z*1 = z
-        1: vec(c0=v, cw=a),                    # z*z = v + a w
-        2: vec(czw=one),                       # z*w = zw
-        3: vec(c0=a * u, cz=a * b, cw=v),      # z*zw = (v + aw)w = vw + a(u + bz)
-    }
-    w_action = {
-        0: vec(cw=one),
-        1: vec(czw=one),
-        2: vec(c0=u, cz=b),                    # w*w = u + b z
-        3: vec(c0=b * v, cz=u, cw=a * b),      # w*zw = z(u + bz) = uz + b(v + aw)
-    }
-    if i == 0:
-        e = [zero] * 4
-        e[j] = one
-        return e
-    if i == 1:
-        return z_action[j]
-    if i == 2:
-        return w_action[j]
-    # i == 3: zw * basis_j = z * (w * basis_j)
-    inter = w_action[j]
-    acc = [zero] * 4
-    for k, coeff in enumerate(inter):
-        if coeff.is_zero():
-            continue
-        for t in range(4):
-            acc[t] = acc[t] + coeff * z_action[k][t]
-    return acc
-
-
-def multiplication_matrices(cover=None):
-    """Matrices of multiplication by z, w, zw on the basis (1, z, w, zw).
-
-    Column j holds the coordinates of generator * basis_j.
+    Column j holds the coordinates of generator * basis_j.  M_z and M_w are
+    read off z^2 = v + a w and w^2 = u + b z; zw acts as z after w, so
+    M_zw = M_z M_w.
     """
-    cover = cover or CoverData.generic()
-    tables = []
-    for gen in (1, 2, 3):
-        cols = [_basis_mul(gen, j, cover) for j in range(4)]
-        tables.append([[cols[j][i] for j in range(4)] for i in range(4)])
-    return MultTable(*tables)
+    u, v, a, b = ring(*BASE_VARS)
+    zero, one = MPoly.zero(BASE_VARS), MPoly.constant(1, BASE_VARS)
+    # z*zw = (v + a w) w = a u + a b z + v w
+    m_z = [[zero, v, zero, a * u],
+           [one, zero, zero, a * b],
+           [zero, a, zero, v],
+           [zero, zero, one, zero]]
+    # w*zw = z (u + b z) = b v + u z + a b w
+    m_w = [[zero, zero, u, b * v],
+           [zero, zero, b, u],
+           [one, zero, zero, a * b],
+           [zero, one, zero, zero]]
+    m_zw = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m_w)] for row in m_z]
+    return m_z, m_w, m_zw
 
 
 def mat_sub(a, b):
@@ -205,12 +150,11 @@ def discriminant_norm():
     beta = b^2; a structure error is raised if Delta ever saw an odd power
     of a or b, which would contradict the norm computation.
     """
-    cover = CoverData.generic()
-    tables = multiplication_matrices(cover)
-    vars_ = cover.u.variables
-    shift = cover.a * cover.b * Fraction(1, 4)
-    delta = determinant(mat_sub(tables.m_zw, mat_scale_identity(shift, vars_))) * 256
-    p = _reexpress_even(delta * Fraction(-1, 256), vars_)
+    _, _, m_zw = multiplication_matrices()
+    _, _, a, b = ring(*BASE_VARS)
+    shift = a * b * Fraction(1, 4)
+    delta = determinant(mat_sub(m_zw, mat_scale_identity(shift, BASE_VARS))) * 256
+    p = _reexpress_even(delta * Fraction(-1, 256), BASE_VARS)
     return delta, p
 
 

@@ -2,7 +2,13 @@
 
 Everything here is exact.  The cubic is the Veronese image
 v3(t0, t1) = (t0^3, t0^2 t1, t0 t1^2, t1^3); the net of quadrics through it
-is spanned by Q0 = x1 x3 - x2^2, Q1 = -x0 x3 + x1 x2, Q2 = x0 x2 - x1^2.
+is spanned by Q0 = x1 x3 - x2^2, Q1 = -x0 x3 + x1 x2, Q2 = x0 x2 - x1^2,
+held once as NET, the tuple of their symmetric 4x4 matrices.  Every
+quadratic or bilinear form here, over the rationals or over a polynomial
+ring, is the one pairing u^T M v: Q_k(x) pairs NET[k] with x on both sides,
+and the pinch form, the tangency test and the Gauss map's Gram matrix pair
+their own matrices.  Every "unknown c_k multiplies these polynomials"
+system is matched coefficient by coefficient by coefficient_rows.
 The determinant of the net is the Veronese conic squared, over 16; quartics
 with the cubic as double curve are quadratic expressions in the net, and
 pinch points are counted by a degree-4 discriminant built from the
@@ -13,7 +19,6 @@ diagonal coordinate change, computed here and verified rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,22 +48,35 @@ def _symmetric_matrix(matrix, n):
     return m
 
 
-@dataclass(frozen=True)
-class QuadricForm:
-    """Symmetric 4x4 rational quadratic form."""
-    matrix: tuple
+_H = Fraction(1, 2)
+# the minors of the catalecticant, vanishing on the cubic: (Q0, Q1, Q2)
+NET = tuple(_symmetric_matrix(m, 4) for m in (
+    ((0, 0, 0, 0), (0, 0, 0, _H), (0, 0, -1, 0), (0, _H, 0, 0)),
+    ((0, 0, 0, -_H), (0, 0, _H, 0), (0, _H, 0, 0), (-_H, 0, 0, 0)),
+    ((0, 0, _H, 0), (0, -1, 0, 0), (_H, 0, 0, 0), (0, 0, 0, 0)),
+))
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _symmetric_matrix(self.matrix, 4))
 
-    def form(self):
-        xs = ring(*X_VARS)
-        acc = MPoly.zero(X_VARS)
-        for i in range(4):
-            for j in range(4):
-                if self.matrix[i][j]:
-                    acc = acc + self.matrix[i][j] * xs[i] * xs[j]
-        return acc
+def pairing(u, m, v):
+    """u^T M v, for entries that are rationals or polynomials over one ring."""
+    return sum(u[i] * m[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
+
+
+def coefficient_rows(columns, rhs=None):
+    """The linear system sum_k c_k columns[k] = rhs, coefficient by coefficient.
+
+    columns[k] is the tuple of polynomials that the unknown c_k multiplies,
+    one per identity, and rhs the tuple the sums must equal (zero when
+    omitted).  Returns (rows, right-hand sides), one row per identity and
+    monomial; the unknowns keep the order of columns.
+    """
+    rows, values = [], []
+    for e in range(len(columns[0])):
+        target = rhs[e] if rhs else MPoly.zero(columns[0][e].variables)
+        for expo in sorted({x for col in columns for x in col[e].terms} | set(target.terms)):
+            rows.append([col[e].coefficient(expo) for col in columns])
+            values.append(target.coefficient(expo))
+    return rows, values
 
 
 def twisted_cubic():
@@ -73,58 +91,35 @@ def v3_point(t):
 
 
 def quadrics_through_twisted_cubic():
-    """(Q0, Q1, Q2): minors of the catalecticant, vanishing on the cubic."""
-    h = Fraction(1, 2)
-    q0 = QuadricForm(((0, 0, 0, 0), (0, 0, 0, h), (0, 0, -1, 0), (0, h, 0, 0)))
-    q1 = QuadricForm(((0, 0, 0, -h), (0, 0, h, 0), (0, h, 0, 0), (-h, 0, 0, 0)))
-    q2 = QuadricForm(((0, 0, h, 0), (0, -1, 0, 0), (h, 0, 0, 0), (0, 0, 0, 0)))
+    """(Q0, Q1, Q2) as quadratic forms in (x0, x1, x2, x3)."""
     xs = ring(*X_VARS)
-    assert q0.form() == xs[1] * xs[3] - xs[2] ** 2
-    assert q1.form() == -xs[0] * xs[3] + xs[1] * xs[2]
-    assert q2.form() == xs[0] * xs[2] - xs[1] ** 2
-    return q0, q1, q2
+    return tuple(pairing(xs, q, xs) for q in NET)
 
 
-def net_matrix():
-    """lambda . Q as a 4x4 matrix of linear forms in (l0, l1, l2)."""
-    ls = ring(*L_VARS)
-    qs = quadrics_through_twisted_cubic()
-    zero = MPoly.zero(L_VARS)
-    rows = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            acc = zero
-            for l, q in zip(ls, qs):
-                if q.matrix[i][j]:
-                    acc = acc + q.matrix[i][j] * l
-            row.append(acc)
-        rows.append(row)
-    return rows
+def net_member(lam):
+    """lambda . Q = sum_k lam_k NET[k], a 4x4 matrix over lam's ring."""
+    return [[sum(lam[k] * NET[k][i][j] for k in range(3)) for j in range(4)]
+            for i in range(4)]
 
 
 def net_determinant_identity():
     """Exact: the net's determinant is the Veronese conic squared, over 16."""
-    l0, l1, l2 = ring(*L_VARS)
-    if determinant(net_matrix()) != Fraction(1, 16) * (l0 * l2 - l1 ** 2) ** 2:
+    ls = ring(*L_VARS)
+    l0, l1, l2 = ls
+    if determinant(net_member(ls)) != Fraction(1, 16) * (l0 * l2 - l1 ** 2) ** 2:
         raise StructureError(f"the net fails {NET_DETERMINANT}")
     return True
 
 
 def gamma_tilde(t):
     """The cone with vertex v3(t), in net coordinates: (1, t, t^2) affinely."""
-    t = Fraction(t)
-    return (Fraction(1), t, t * t)
+    return v3_point(t)[:3]
 
 
 def cone_vertex_check():
     """The rank-3 members of the net have their vertex on the cubic."""
-    qs = quadrics_through_twisted_cubic()
     for t in SAMPLE_PARAMS:
-        lam = gamma_tilde(t)
-        m = [[sum(lam[k] * qs[k].matrix[i][j] for k in range(3)) for j in range(4)]
-             for i in range(4)]
-        kernel = nullspace(m)
+        kernel = nullspace(net_member(gamma_tilde(t)))
         if len(kernel) != 1:
             raise StructureError(f"cone at t={t} does not have a 1-dim vertex")
         v = v3_point(t)
@@ -135,7 +130,11 @@ def cone_vertex_check():
 
 # -- conormal data -----------------------------------------------------------
 
-_QUAD_MONOS = ((2, 0), (1, 1), (0, 2))
+def _section_polys(section):
+    """The components sum_k S[c][k] m_k of a frame section, over Q[t0, t1]."""
+    t0, t1 = ring(*T_VARS)
+    monos = (t0 * t0, t0 * t1, t1 * t1)
+    return [sum(s * m for s, m in zip(row, monos)) for row in section]
 
 
 @lru_cache(maxsize=None)
@@ -147,20 +146,11 @@ def conormal_frame():
     partial derivative vectors of v3 and stay independent for every t.
     """
     t0, t1 = ring(*T_VARS)
-    d0 = (3 * t0 ** 2, 2 * t0 * t1, t1 ** 2, MPoly.zero(T_VARS))
-    d1 = (MPoly.zero(T_VARS), t0 ** 2, 2 * t0 * t1, 3 * t1 ** 2)
-    rows = []
-    for vec in (d0, d1):
-        for mono_expo in ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4)):
-            row = []
-            for comp in range(4):
-                for qm in _QUAD_MONOS:
-                    need = (mono_expo[0] - qm[0], mono_expo[1] - qm[1])
-                    if min(need) < 0:
-                        row.append(Fraction(0))
-                    else:
-                        row.append(vec[comp].coefficient(need))
-            rows.append(row)
+    d0, d1 = ([f.partial(v) for f in twisted_cubic()] for v in T_VARS)
+    # the unknown S[c][k] is column 3c + k: it multiplies m_k d[c] in both
+    # sum_c E_c d0[c] = 0 and sum_c E_c d1[c] = 0
+    rows, _ = coefficient_rows([(m * d0[c], m * d1[c]) for c in range(4)
+                                for m in (t0 * t0, t0 * t1, t1 * t1)])
     basis = nullspace(rows)
     if len(basis) != 2:
         # quadratic-component conormal fields are H^0 of a trivial rank-2
@@ -174,15 +164,11 @@ def conormal_frame():
 
 
 def _frame_everywhere_independent(e1, e2):
-    minors = []
-    for a in range(4):
-        for b in range(a + 1, 4):
-            coeffs = [Fraction(0)] * 5
-            for k1, m1 in enumerate(_QUAD_MONOS):
-                for k2, m2 in enumerate(_QUAD_MONOS):
-                    deg1 = m1[1] + m2[1]  # power of t1 in the quartic
-                    coeffs[deg1] += e1[a][k1] * e2[b][k2] - e1[b][k1] * e2[a][k2]
-            minors.append(xp.trim(coeffs))
+    p1, p2 = _section_polys(e1), _section_polys(e2)
+    # the 2x2 minors as binary quartics, ascending in t1 at t0 = 1
+    minors = [xp.trim([(p1[a] * p2[b] - p1[b] * p2[a]).coefficient((4 - k, k))
+                       for k in range(5)])
+              for a in range(4) for b in range(a + 1, 4)]
     if not any(minors):
         return False
     g = []
@@ -203,30 +189,15 @@ def conormal_sections():
 
     Linear forms are coefficient pairs against (t0, t1).
     """
-    e1, e2 = conormal_frame()
     t0, t1 = ring(*T_VARS)
-    monos = [t0 * t0, t0 * t1, t1 * t1]
-    e1_polys = [sum((e1[c][k] * monos[k] for k in range(3)), MPoly.zero(T_VARS))
-                for c in range(4)]
-    e2_polys = [sum((e2[c][k] * monos[k] for k in range(3)), MPoly.zero(T_VARS))
-                for c in range(4)]
+    # unknowns (a0, a1, b0, b1) multiply t0 E1, t1 E1, t0 E2, t1 E2
+    columns = [[t * p[c] for c in range(4)]
+               for p in map(_section_polys, conormal_frame()) for t in (t0, t1)]
     cubic = twisted_cubic()
     out = []
-    for q in quadrics_through_twisted_cubic():
-        g = [sum((q.matrix[c][d] * cubic[d] for d in range(4)), MPoly.zero(T_VARS))
-             for c in range(4)]
-        rows = []
-        rhs = []
-        for c in range(4):
-            for expo in ((3, 0), (2, 1), (1, 2), (0, 3)):
-                row = []
-                for base in (e1_polys[c], e2_polys[c]):
-                    for lin in ((1, 0), (0, 1)):
-                        need = (expo[0] - lin[0], expo[1] - lin[1])
-                        row.append(base.coefficient(need) if min(need) >= 0 else Fraction(0))
-                rows.append(row)
-                rhs.append(g[c].coefficient(expo))
-        sol = solve(rows, rhs)
+    for q in NET:
+        g = [sum(q[c][d] * cubic[d] for d in range(4)) for c in range(4)]
+        sol = solve(*coefficient_rows(columns, g))
         if sol is None:
             raise StructureError("conormal section is not linear in the frame")
         out.append(((sol[0], sol[1]), (sol[2], sol[3])))
@@ -241,23 +212,13 @@ def _conic_matrix(f):
     return m
 
 
-def _pinch_form(entry, variables):
-    """4 A B - C^2 over Q[variables] (which include t0, t1), where
-    A = sum F_ij a_i a_j, B = sum F_ij b_i b_j, C = sum F_ij (a_i b_j + b_i a_j)
-    pair the conormal sections with F_ij = entry(i, j), a rational or a
-    polynomial."""
+def _pinch_form(f, variables):
+    """4 A B - C^2 over Q[variables] (which include t0, t1), where A = a.Fa,
+    B = b.Fb and C = a.Fb + b.Fa = 2 a.Fb pair the conormal sections a, b
+    with the symmetric 3x3 matrix F, of rationals or polynomials."""
     t0, t1 = (MPoly.variable(v, variables) for v in T_VARS)
-    sections = conormal_sections()
-    a_polys = [a[0] * t0 + a[1] * t1 for a, _ in sections]
-    b_polys = [b[0] * t0 + b[1] * t1 for _, b in sections]
-    A = B = C = MPoly.zero(variables)
-    for i in range(3):
-        for j in range(3):
-            f = entry(i, j)
-            A = A + f * a_polys[i] * a_polys[j]
-            B = B + f * b_polys[i] * b_polys[j]
-            C = C + f * (a_polys[i] * b_polys[j] + b_polys[i] * a_polys[j])
-    return 4 * A * B - C * C
+    a, b = ([s[k][0] * t0 + s[k][1] * t1 for s in conormal_sections()] for k in (0, 1))
+    return 4 * pairing(a, f, a) * pairing(b, f, b) - (2 * pairing(a, f, b)) ** 2
 
 
 def pinch_discriminant(f):
@@ -267,8 +228,7 @@ def pinch_discriminant(f):
     (F_ij Q_i Q_j summed over all i, j).  Zero iff the parameter is a
     pinch point of the quartic surface sum F_ij Q_i Q_j.
     """
-    m = _conic_matrix(f)
-    return _pinch_form(lambda i, j: m[i][j], T_VARS)
+    return _pinch_form(_conic_matrix(f), T_VARS)
 
 
 def pinch_roots_are_simple(f):
@@ -310,29 +270,15 @@ def tangency_matches_pinch_symbolically():
     """
     lvars = ("l00", "l01", "l02", "l11", "l12", "l22")
     big = T_VARS + lvars
-    gens = {name: MPoly.variable(name, big) for name in big}
-    zero = MPoly.zero(big)
-
-    def lam_entry(i, j):
-        key = f"l{min(i, j)}{max(i, j)}"
-        return gens[key]
-
-    delta = _pinch_form(lam_entry, big)
+    gens = dict(zip(big, ring(*big)))
+    lam = [[gens[f"l{min(i, j)}{max(i, j)}"] for j in range(3)] for i in range(3)]
+    delta = _pinch_form(lam, big)
 
     # restriction to the dual line of (t0^2, t0 t1, t1^2), basis valid off t1=0
+    zero = MPoly.zero(big)
     k1 = (gens["t1"] ** 2, zero, -(gens["t0"] ** 2))
     k2 = (zero, gens["t1"], -gens["t0"])
-
-    def pair(u, v):
-        acc = zero
-        for i in range(3):
-            for j in range(3):
-                if u[i].is_zero() or v[j].is_zero():
-                    continue
-                acc = acc + lam_entry(i, j) * u[i] * v[j]
-        return acc
-
-    tang = pair(k1, k2) ** 2 - pair(k1, k1) * pair(k2, k2)
+    tang = pairing(k1, lam, k2) ** 2 - pairing(k1, lam, k1) * pairing(k2, lam, k2)
     target = gens["t1"] ** 2 * delta
     if tang.is_zero() or target.is_zero():
         raise StructureError("degenerate tangency comparison")
@@ -376,33 +322,18 @@ def express_p_in_quadrics():
     dual conic of gamma-tilde, so Delta vanishes identically on it.
     """
     p_x = p_in_x_coordinates()
-    qs = [q.form() for q in quadrics_through_twisted_cubic()]
-    products = []
-    keys = []
-    for i in range(3):
-        for j in range(i, 3):
-            products.append(qs[i] * qs[j])
-            keys.append((i, j))
-    monomials = sorted({e for q in products for e in q.terms} | set(p_x.terms))
-    rows = [[q.coefficient(e) for q in products] for e in monomials]
-    rhs = [p_x.coefficient(e) for e in monomials]
-    sol = solve(rows, rhs)
+    qs = quadrics_through_twisted_cubic()
+    keys = [(i, j) for i in range(3) for j in range(i, 3)]
+    sol = solve(*coefficient_rows([(qs[i] * qs[j],) for i, j in keys], (p_x,)))
     if sol is None:
         raise StructureError("P is not a quadratic expression in the net")
     m = [[Fraction(0)] * 3 for _ in range(3)]
     for c, (i, j) in zip(sol, keys):
-        if i == j:
-            m[i][i] = c
-        else:
-            m[i][j] = m[j][i] = c / 2
-    check = MPoly.zero(X_VARS)
-    for i in range(3):
-        for j in range(3):
-            if m[i][j]:
-                check = check + m[i][j] * qs[i] * qs[j]
-    if check != p_x:
+        m[i][j] = m[j][i] = c if i == j else c / 2
+    m = tuple(tuple(r) for r in m)
+    if pairing(qs, m, qs) != p_x:
         raise StructureError("net expression for P failed verification")
-    return tuple(tuple(r) for r in m)
+    return m
 
 
 def adjugate(g):
@@ -468,23 +399,15 @@ def gradient_vanishing_on_cuspidal_curve():
 
 def tangent_surface_identity():
     """P vanishes identically on the tangent lines of the cubic (exact)."""
-    p_x = p_in_x_coordinates()
     sh = ("s", "h")
-    s, h = ring(*sh)
-    point = {
-        "x0": MPoly.constant(1, sh),
-        "x1": s + h,
-        "x2": s * s + 2 * s * h,
-        "x3": s ** 3 + 3 * s * s * h,
-    }
-    if not p_x.compose(point, sh).is_zero():
+    point = dict(zip(X_VARS, tangent_point(*ring(*sh))))
+    if not p_in_x_coordinates().compose(point, sh).is_zero():
         raise StructureError("P is not the tangent surface of the cubic")
     return True
 
 
 def tangent_point(s, h):
-    """Rational point v3(s) + h v3'(s) of the developable."""
-    s, h = Fraction(s), Fraction(h)
+    """Point v3(s) + h v3'(s) of the developable, over the ring of s and h."""
     return (Fraction(1), s + h, s * s + 2 * s * h, s ** 3 + 3 * s * s * h)
 
 
@@ -502,12 +425,10 @@ def gauss_rank_at(surface_poly, point):
         raise StructureError("point is singular (gradient vanishes)")
     if surface_poly.evaluate(values) != 0:
         raise StructureError("point is not on the surface")
-    n = len(point)
     hess = [[surface_poly.partial(v1).partial(v2).evaluate(values)
              for v2 in surface_poly.variables] for v1 in surface_poly.variables]
     kernel = nullspace([grad])
-    gram = [[sum(w1[i] * hess[i][j] * w2[j] for i in range(n) for j in range(n))
-             for w2 in kernel] for w1 in kernel]
+    gram = [[pairing(w1, hess, w2) for w2 in kernel] for w1 in kernel]
     return rank(gram)
 
 

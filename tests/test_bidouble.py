@@ -46,38 +46,34 @@ def _expected_matrices():
 
 
 def test_multiplication_matrices_match_expected_form():
-    tables = multiplication_matrices()
-    m_z, m_w, m_zw = _expected_matrices()
-    assert tables.m_z == m_z
-    assert tables.m_w == m_w
-    assert tables.m_zw == m_zw
+    assert multiplication_matrices() == _expected_matrices()
 
 
 def test_m_z_top_right_entry():
-    tables = multiplication_matrices()
+    m_z, m_w, m_zw = multiplication_matrices()
     u, v, a, b = ring(*BASE_VARS)
-    assert tables.m_z[0][3] == a * u
+    assert m_z[0][3] == a * u
 
 
 def test_mult_table_identities():
-    tables = multiplication_matrices()
+    m_z, m_w, m_zw = multiplication_matrices()
     u, v, a, b = ring(*BASE_VARS)
     zero = [[MPoly.zero(BASE_VARS)] * 4 for _ in range(4)]
-    m_z2 = mat_mul(tables.m_z, tables.m_z)
+    m_z2 = mat_mul(m_z, m_z)
     expected = mat_sub(mat_scale_identity(v, BASE_VARS),
-                       [[-(a * e) for e in row] for row in tables.m_w])
+                       [[-(a * e) for e in row] for row in m_w])
     assert m_z2 == expected  # M_z^2 = v I + a M_w
-    m_w2 = mat_mul(tables.m_w, tables.m_w)
+    m_w2 = mat_mul(m_w, m_w)
     expected_w = mat_sub(mat_scale_identity(u, BASE_VARS),
-                         [[-(b * e) for e in row] for row in tables.m_z])
+                         [[-(b * e) for e in row] for row in m_z])
     assert m_w2 == expected_w  # M_w^2 = u I + b M_z
-    assert mat_sub(mat_mul(tables.m_z, tables.m_w), tables.m_zw) == zero
-    assert mat_sub(mat_mul(tables.m_w, tables.m_z), tables.m_zw) == zero
+    assert mat_sub(mat_mul(m_z, m_w), m_zw) == zero
+    assert mat_sub(mat_mul(m_w, m_z), m_zw) == zero
 
 
 def test_mult_table_identities_at_random_specializations():
     rng = random.Random(20)
-    tables = multiplication_matrices()
+    m_z, m_w, m_zw = multiplication_matrices()
     for _ in range(20):
         point = {n: Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
                  for n in BASE_VARS}
@@ -85,9 +81,9 @@ def test_mult_table_identities_at_random_specializations():
         def ev(m):
             return [[e.evaluate(point) for e in row] for row in m]
 
-        mz = ev(tables.m_z)
-        mw = ev(tables.m_w)
-        mzw = ev(tables.m_zw)
+        mz = ev(m_z)
+        mw = ev(m_w)
+        mzw = ev(m_zw)
         prod = [[sum(mz[i][k] * mw[k][j] for k in range(4)) for j in range(4)]
                 for i in range(4)]
         assert prod == mzw
@@ -189,10 +185,10 @@ def test_delta_residual_at_real_cusp_is_zero_exactly():
 def test_norm_interpretation_of_generator_determinants():
     # det(M_z) = v^2 - a^2 u = Norm(z), det(M_w) = u^2 - b^2 v = Norm(w)
     from cuspidal.mpoly import determinant
-    tables = multiplication_matrices()
+    m_z, m_w, m_zw = multiplication_matrices()
     u, v, a, b = ring(*BASE_VARS)
-    assert determinant(tables.m_z) == v ** 2 - a ** 2 * u
-    assert determinant(tables.m_w) == u ** 2 - b ** 2 * v
+    assert determinant(m_z) == v ** 2 - a ** 2 * u
+    assert determinant(m_w) == u ** 2 - b ** 2 * v
     # they vanish exactly on the images of {z = 0} resp. {w = 0}
     rng = random.Random(77)
     for _ in range(20):
@@ -200,10 +196,10 @@ def test_norm_interpretation_of_generator_determinants():
         a0 = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
         b0 = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
         pt = {"u": w0 * w0, "v": -a0 * w0, "a": a0, "b": b0}
-        assert determinant(tables.m_z).evaluate(pt) == 0
+        assert determinant(m_z).evaluate(pt) == 0
         z0 = w0
         pt_w = {"u": -b0 * z0, "v": z0 * z0, "a": a0, "b": b0}
-        assert determinant(tables.m_w).evaluate(pt_w) == 0
+        assert determinant(m_w).evaluate(pt_w) == 0
 
 
 def test_cyclo3_arithmetic():

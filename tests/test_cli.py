@@ -40,6 +40,18 @@ def test_monodromy_matches_golden(capsys):
     assert out == (FIXTURES / "monodromy_sheared.json").read_text()
 
 
+def test_discriminant_matches_golden(capsys):
+    code, out = run_cli(capsys, "discriminant")
+    assert code == 0
+    assert out == (FIXTURES / "discriminant.json").read_text()
+
+
+def test_surface_checks_match_golden(capsys):
+    code, out = run_cli(capsys, "surface-checks", "--seed", "0")
+    assert code == 0
+    assert out == (FIXTURES / "surface_checks.json").read_text()
+
+
 def test_critical_values_separate_split_cusp_values_at_a_tiny_shear(capsys):
     code, out = run_cli(capsys, "critical-values", "--shear", "1/100000000000")
     assert code == 0
@@ -334,9 +346,9 @@ def test_a_raising_surface_step_is_a_failed_check(capsys, monkeypatch):
 
 def test_a_doubled_net_fails_the_determinant_identity(capsys, monkeypatch):
     # det(2 l.Q) = (l0 l2 - l1^2)^2 is still a square, but not the printed identity
-    net = surface.net_matrix
-    monkeypatch.setattr(surface, "net_matrix",
-                        lambda: [[2 * e for e in row] for row in net()])
+    member = surface.net_member
+    monkeypatch.setattr(surface, "net_member",
+                        lambda lam: [[2 * e for e in row] for row in member(lam)])
     code, out = run_cli(capsys, "surface-checks")
     assert code == 1
     [step] = [c for c in json.loads(out)["checks"] if not c["pass"]]

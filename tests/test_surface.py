@@ -7,12 +7,12 @@ from cuspidal.bidouble import StructureError
 from cuspidal.linalg import rank
 from cuspidal.mpoly import MPoly, determinant, ring
 from cuspidal.surface import (
-    L_VARS, T_VARS, VERONESE, X_VARS, _conic_matrix, adjugate,
-    cone_vertex_check, conormal_zero_property,
+    L_VARS, NET, T_VARS, VERONESE, X_VARS, _conic_matrix, adjugate,
+    cone_vertex_check, conormal_frame, conormal_sections, conormal_zero_property,
     developable_map_checks, dual_meets_veronese_transversally,
     express_p_in_quadrics, gamma_tilde, gauss_rank_at,
-    gradient_vanishing_on_cuspidal_curve, net_determinant_identity, net_matrix,
-    p_in_x_coordinates, pinch_discriminant, pinch_roots_are_simple,
+    gradient_vanishing_on_cuspidal_curve, net_determinant_identity, net_member,
+    p_in_x_coordinates, pairing, pinch_discriminant, pinch_roots_are_simple,
     quadrics_through_twisted_cubic, random_symmetric_matrix,
     tangency_matches_pinch_symbolically, tangent_point,
     tangent_surface_identity, twisted_cubic, unique_conic_through,
@@ -52,19 +52,25 @@ def tangency_condition(f, t):
     return pair(k1, k2) ** 2 - pair(k1, k1) * pair(k2, k2)
 
 
+def test_the_net_holds_the_stated_quadrics():
+    x0, x1, x2, x3 = ring(*X_VARS)
+    assert quadrics_through_twisted_cubic() == (
+        x1 * x3 - x2 ** 2, -x0 * x3 + x1 * x2, x0 * x2 - x1 ** 2)
+
+
 def test_quadrics_vanish_on_cubic():
     # every Q in the net pulls back to zero on v3
     sub = dict(zip(X_VARS, twisted_cubic()))
     for q in quadrics_through_twisted_cubic():
-        assert q.form().compose(sub, T_VARS).is_zero()
+        assert q.compose(sub, T_VARS).is_zero()
 
 
 def _quadric_value(q, point):
-    return sum(q.matrix[i][j] * point[i] * point[j] for i in range(4) for j in range(4))
+    return pairing(point, q, point)
 
 
 def test_q1_point_values():
-    q0, q1, q2 = quadrics_through_twisted_cubic()
+    q0, q1, q2 = NET
     assert _quadric_value(q1, (1, 1, 1, 1)) == 0
     assert _quadric_value(q1, (1, 0, 0, 1)) == -1
     assert _quadric_value(q0, v3_point(Fraction(2, 3))) == 0
@@ -83,11 +89,11 @@ def test_net_determinant_is_a_square():
     ls = ring(*L_VARS)
     conic = sum((VERONESE[i][j] * ls[i] * ls[j] for i in range(3) for j in range(3)),
                 MPoly.zero(L_VARS))
-    assert determinant(net_matrix()) == Fraction(1, 16) * conic ** 2
+    assert determinant(net_member(ls)) == Fraction(1, 16) * conic ** 2
 
 
 def test_determinant_values_on_axes():
-    quartic = determinant(net_matrix())
+    quartic = determinant(net_member(ring(*L_VARS)))
     assert quartic.evaluate({"l0": 1, "l1": 0, "l2": 0}) == 0  # Q0 is a cone
     assert quartic.evaluate({"l0": 0, "l1": 1, "l2": 0}) == Fraction(1, 16)
 
@@ -97,12 +103,21 @@ def test_gamma_tilde_vertex_family():
     t0, t1 = ring(*T_VARS)
     lam = dict(zip(L_VARS, (t0 * t0, t0 * t1, t1 * t1)))
     comps = twisted_cubic()
-    for row in net_matrix():
+    for row in net_member(ring(*L_VARS)):
         acc = MPoly.zero(T_VARS)
         for entry, comp in zip(row, comps):
             acc = acc + entry.compose(lam, T_VARS) * comp
         assert acc.is_zero()
     assert cone_vertex_check()
+
+
+def test_conormal_frame_and_sections_by_value():
+    # E1 = (t1^2, -2 t0 t1, t0^2, 0) and E2 = (0, t1^2, -2 t0 t1, t0^2)
+    assert conormal_frame() == (((0, 0, 1), (0, -2, 0), (1, 0, 0), (0, 0, 0)),
+                                ((0, 0, 0), (0, 0, 1), (0, -2, 0), (1, 0, 0)))
+    # M_k v3 = a_k E1 + b_k E2 with (a_k, b_k) = (0, t1/2), (-t1/2, -t0/2), (t0/2, 0)
+    h = Fraction(1, 2)
+    assert conormal_sections() == (((0, 0), (0, h)), ((0, -h), (-h, 0)), ((h, 0), (0, 0)))
 
 
 def test_developable_map_checks():
@@ -181,7 +196,7 @@ def test_tangency_condition_generic_nonzero():
 
 def test_tangency_matches_pinch():
     c = tangency_matches_pinch_symbolically()
-    assert c != 0
+    assert c == -4
     # spot check: vanishing loci agree at rational parameters
     rng = random.Random(7)
     for _ in range(5):
