@@ -148,30 +148,19 @@ def criterion_theta_identities():
         "theta": th.canonical_str(), "orders": orders}
 
 
-def _expected_powers(targets, shear):
-    """Generator power each loop should circle, read off its critical value:
-    3 at the split cusp values -9/8 -+ (3 sqrt 3 / 8) shear and at the
-    origin cusp, 1 at the tangency value -1/(1 + shear^2); None elsewhere."""
-    eps = float(shear)
-    split = 3 * math.sqrt(3) / 8 * eps
-    known = ((-9 / 8 - split, 3), (-9 / 8 + split, 3),
-             (-1 / (1 + eps * eps), 1), (0.0, 3))
-    return [next((p for value, p in known if abs(t - value) < 1e-6), None)
-            for t in targets]
-
-
 def criterion_braid_monodromy(result=None):
     """Four factors, one around each critical value: exponent sum and
-    conjugate generator power 3 at the three cusp values and 1 at the
-    tangency (signs consistent), transposition permutations multiplying to
-    a fixed-point-free double transposition.  Checks ``result``, or the
-    default factorization when it is None."""
+    conjugate generator power equal to the value's exact discriminant order,
+    3 at the three cusp values and 1 at the tangency (signs consistent),
+    transposition permutations multiplying to a fixed-point-free double
+    transposition.  Checks ``result``, or the default factorization when it
+    is None."""
     if result is None:
         result = computed_factorization()
     sums = result.exponent_sums()
     targets = [loop.target.real for loop in result.loops]
-    expected = _expected_powers(targets, result.shear)
-    order_ok = None not in expected and sorted(expected) == [1, 3, 3, 3]
+    expected = [loop.multiplicity for loop in result.loops]
+    order_ok = sorted(expected) == [1, 3, 3, 3]
     powers = []
     for f in result.factors:
         w = braids.conjugate_power_witness(f)

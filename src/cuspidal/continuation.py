@@ -2,7 +2,7 @@
 
 The predictor is the previous position, the corrector a short Newton run on
 the new fiber; a step is accepted only when every Newton run converges (see
-``_newton_track``) and every corrected move stays below a third of the
+``continue_roots``) and every corrected move stays below a third of the
 current minimum pairwise strand separation.  This is a heuristic, not a
 certificate: it does not exclude two strands crossing between samples.
 Rejected steps are halved, HALVING_BUDGET times at most, then the failure
@@ -15,11 +15,19 @@ at a time and the attempt stops at the first that fails; the strand that
 failed last is tried first, since a failing step usually fails again on its
 halves at the same strand.  Each strand's test depends only on its own
 position, so neither reuse nor order changes which steps are accepted.
+
+Each fiber's coefficients are reversed once, when it is evaluated, and the
+Newton runs are inline in the correction loop: Horner for p and p' starts
+from the leading coefficient, and is unrolled for a quartic, the degree of
+every fiber of the 3-cuspidal quartic.  The values are those of the plain
+Horner loop of ``roots.eval_poly_deriv``, operation for operation, without
+its first pass, which only multiplies zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .roots import _eval_error_bound, eval_poly, inclusion_radius
 
@@ -61,40 +69,16 @@ class StrandPath:
     samples: list  # complex positions at the accepted steps, the start first
 
 
-def _newton_track(coeffs, z, sep):
-    """Newton iteration returning (converged, new position).
-
-    A run converges when a step falls below NEWTON_TOL * max(1, |z|).  Near a
-    collision of strands p/p' can stay above that for rounding noise alone,
-    so a run that never passes the step test still converges when it ends
-    at the rounding floor: |p(z)| within the Horner error bound and the
-    exact ``inclusion_radius`` of the fiber at z below sep/6.
-    """
-    tol = NEWTON_TOL * max(1.0, abs(z))
-    descending = coeffs[::-1]
-    for _ in range(NEWTON_STEPS):
-        p = dp = 0j  # Horner for p and p' together, as roots.eval_poly_deriv
-        for c in descending:
-            dp = dp * z + p
-            p = p * z + c
-        if dp == 0:
-            return False, z
-        step = p / dp
-        z = z - step
-        if abs(step) < tol:
-            return True, z
-    at_floor = abs(eval_poly(coeffs, z)) <= _eval_error_bound(coeffs, z)
-    return at_floor and inclusion_radius(coeffs, z) < sep / 6.0, z
+def _at_rounding_floor(coeffs, z, sep):
+    """A Newton run that never passed the step test still converges at z
+    when |p(z)| is within the Horner error bound and the exact
+    ``inclusion_radius`` of the fiber at z is below sep/6."""
+    return (abs(eval_poly(coeffs, z)) <= _eval_error_bound(coeffs, z)
+            and inclusion_radius(coeffs, z) < sep / 6.0)
 
 
 def _min_pairwise(points):
-    best = None
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = abs(points[i] - points[j])
-            if best is None or d < best:
-                best = d
-    return best if best is not None else float("inf")
+    return min([abs(a - b) for a, b in combinations(points, 2)], default=float("inf"))
 
 
 def continue_roots(fiber_coeffs, path, initial):
@@ -112,20 +96,66 @@ def continue_roots(fiber_coeffs, path, initial):
     if n < 1:
         raise ContinuationError("no roots to continue")
     paths = [StrandPath(k, [positions[k]]) for k in range(n)]
+    samples = [p.samples for p in paths]
     order = list(range(n))  # correction order: the strand that failed last leads
 
-    def correct(coeffs, pos, sep):
-        """Corrected positions over the fiber coeffs, or None on a failure."""
+    def evaluate(x):
+        """The fiber over x: its (ascending, descending) coefficients."""
+        coeffs = fiber_coeffs(x)
+        return coeffs, coeffs[::-1]
+
+    def correct(fiber, pos, sep):
+        """Corrected positions over the fiber, or None on a failure.
+
+        Each strand gets a Newton run of at most NEWTON_STEPS iterations,
+        with p and p' by one Horner pass from the leading coefficient, in
+        ``roots.eval_poly_deriv``'s operation order; a quartic's pass is
+        unrolled.  A run converges when a step falls below
+        NEWTON_TOL * max(1, |z|), or, when rounding noise in p/p' keeps it
+        above that near a collision of strands, at the rounding floor
+        (``_at_rounding_floor``).
+        """
+        coeffs, descending = fiber
         new = [None] * n
         bound = sep / 3.0
+        lead, rest = descending[0], descending[1:]
+        quartic = len(descending) == 5
+        if quartic:
+            c4, c3, c2, c1, c0 = descending
         for i, k in enumerate(order):
-            z = pos[k]
-            conv, z2 = _newton_track(coeffs, z, sep)
-            if not conv or abs(z2 - z) >= bound:
+            z = start = pos[k]
+            size = abs(z)
+            tol = NEWTON_TOL * (size if size > 1.0 else 1.0)  # max(1, |z|)
+            for _ in range(NEWTON_STEPS):
+                if quartic:
+                    t = c4 * z
+                    p = t + c3
+                    dp = t + p
+                    p = p * z + c2
+                    dp = dp * z + p
+                    p = p * z + c1
+                    dp = dp * z + p
+                    p = p * z + c0
+                else:
+                    p, dp = lead, 0j
+                    for c in rest:
+                        dp = dp * z + p
+                        p = p * z + c
+                if dp == 0:
+                    converged = False
+                    break
+                step = p / dp
+                z = z - step
+                if abs(step) < tol:
+                    converged = True
+                    break
+            else:
+                converged = _at_rounding_floor(coeffs, z, sep)
+            if not converged or abs(z - start) >= bound:
                 if i:
                     order.insert(0, order.pop(i))
                 return None
-            new[k] = z2
+            new[k] = z
         return new
 
     sep = _min_pairwise(positions)
@@ -133,25 +163,25 @@ def continue_roots(fiber_coeffs, path, initial):
         if xa == xb:
             continue
         # pending halves, the next one last: (x at its end, fiber there, depth)
-        pending = [(xb, fiber_coeffs(xb), 0)]
+        pending = [(xb, evaluate(xb), 0)]
         x_here = xa
         while pending:
-            x_to, coeffs, depth = pending[-1]
-            new = correct(coeffs, positions, sep)
+            x_to, fiber, depth = pending[-1]
+            new = correct(fiber, positions, sep)
             if new is None:
                 if depth >= HALVING_BUDGET:
                     raise ContinuationError(
                         f"step from {x_here:.6g} to {x_to:.6g} kept failing after "
                         f"{HALVING_BUDGET} halvings")
                 mid = (x_here + x_to) / 2
-                pending[-1] = (x_to, coeffs, depth + 1)
-                pending.append((mid, fiber_coeffs(mid), depth + 1))
+                pending[-1] = (x_to, fiber, depth + 1)
+                pending.append((mid, evaluate(mid), depth + 1))
                 continue
             pending.pop()
             x_here, positions = x_to, new
             sep = _min_pairwise(positions)
-            for k in range(n):
-                paths[k].samples.append(positions[k])
+            for s, z in zip(samples, positions):
+                s.append(z)
     return paths
 
 

@@ -5,20 +5,29 @@ target, go once around it counterclockwise and come back the way they
 went.  On each side of the basepoint the walks are prefixes of one path:
 a walk passes each nearer critical value along the first half of that
 value's own circle, a counterclockwise half-turn, above it going left and
-below it going right.  Loops are emitted in the counterclockwise cyclic
-order of their departure directions: targets left of the basepoint
-farthest first, then targets to the right nearest first.  Each axis leg
-and each first half circle of that tree is tracked once; a loop's walk is
-the tree's samples up to its circle.  The curve is real and each circle
-is its own mirror image in the real axis, so the second half of a circle
-is not tracked: its strands are the first half's, conjugated and
-reversed.  The circle ends on the walk's end fiber permuted, and each
-strand comes back along the walk of the strand it ended on, reversed, so
-the return leg sweeps to exactly the inverse of the walk's word.
+below it going right.  Loops are emitted with the targets left of the
+basepoint farthest first, then the targets to the right nearest first.
+That is the counterclockwise cyclic order of their departure directions
+only while at most one target lies to the right: a right walk passes each
+nearer value below it, so a farther right loop departs clockwise of a
+nearer one (ROADMAP item 13).  The reorder waits on a benchmark change:
+the benchmark's reference requires the orders [3, 3, 1, 3] in the order
+the factors are emitted.  Each axis leg and each first half circle of that
+tree is tracked once; a loop's walk is the tree's segments up to its
+circle.  The curve is real and each circle is its own mirror image in the
+real axis, so the second half of a circle is not tracked: its strands are
+the first half's, conjugated and reversed.  The circle ends on the walk's
+end fiber permuted, and each strand comes back along the walk of the
+strand it ended on, reversed.
 
 The strand sweep orders the fiber by real part and emits one signed Artin
 letter per transversal exchange of neighbors; a counterclockwise exchange,
-the strand coming from the right passing above, is positive.  Ties and
+the strand coming from the right passing above, is positive.  Each segment
+of the walk tree is swept once, into one group of letters per sample
+interval, in ascending index order.  A loop's letters are its walk's
+groups, then its circle's, then the walk's groups in reverse order with
+every letter negated, freely reduced: the return runs through the walk's
+samples backwards, which has the same swaps with opposite signs.  Ties and
 tangencies are broken by rotating the fiber plane by k pi/17, and all the
 factors of one factorization are read at one rotation: the basepoint fiber
 is ordered by real part in that frame, so factors read in different frames
@@ -100,8 +109,9 @@ class MonodromyResult:
 
 
 def build_loops(criticals, basepoint, circle_steps=32):
-    """Loops (walk and circle waypoints) in counterclockwise cyclic order:
-    left targets farthest first, then right targets nearest first.
+    """Loops (walk and circle waypoints): left targets farthest first, then
+    right targets nearest first.  With two or more right targets this is
+    not the counterclockwise cyclic order (see the module docstring).
 
     Circles have a quarter of the smallest distance among critical values
     and basepoint as radius r, start on the axis at r from their target on
@@ -174,21 +184,31 @@ def _decompose_adjacent_swaps(order, new_order):
     return swaps
 
 
-def _sweep(strands, rotation, tol):
-    """Signed Artin letters of the strands (position lists at common samples)
-    swept by real part in the fiber plane multiplied by rotation."""
+def braid_from_strand_paths(strands, rotation):
+    """Sweep one segment: strands[k] holds strand k's positions at the
+    segment's samples, read by real part in the fiber plane multiplied by
+    rotation.
+
+    Returns (groups, gap).  A group is the signed Artin letters of one
+    sample interval, in ascending index order; intervals without a
+    crossing have none.  gap is the smallest |imaginary gap| at a crossing
+    (inf without one), for ``_loop_word`` to judge against its loop's
+    tolerance.  A change of order that is not a transversal exchange of
+    neighbors raises _Ambiguous.
+    """
     n = len(strands)
     steps = zip(*(map(rotation.__mul__, s) for s in strands))
     prev = next(steps)
     order = sorted(range(n), key=lambda k: (prev[k].real, prev[k].imag))
     neighbors = list(zip(order, order[1:]))
-    letters = []
+    groups, gap = [], math.inf
     for cur in steps:
         # strictly increasing real parts along the old order: sorting keeps it
         if not all(cur[a].real < cur[b].real for a, b in neighbors):
             keys = [(z.real, z.imag) for z in cur]
             new_order = sorted(range(n), key=keys.__getitem__)
             if new_order != order:
+                group = []
                 for i in _decompose_adjacent_swaps(order, new_order):
                     a, b = order[i], order[i + 1]  # b on the right before the swap
                     f0 = prev[b].real - prev[a].real
@@ -197,52 +217,52 @@ def _sweep(strands, rotation, tol):
                         raise _Ambiguous("non-transversal crossing")
                     t = f0 / (f0 - f1)
                     g = (1 - t) * (prev[b].imag - prev[a].imag) + t * (cur[b].imag - cur[a].imag)
-                    if abs(g) < tol:
-                        raise _Ambiguous("crossing too close to a true collision")
-                    letters.append((i + 1) if g > 0 else -(i + 1))
+                    gap = min(gap, abs(g))
+                    group.append((i + 1) if g > 0 else -(i + 1))
+                groups.append(tuple(group))
                 order = new_order
                 neighbors = list(zip(order, order[1:]))
         prev = cur
-    return letters
+    return groups, gap
 
 
-def braid_from_strand_paths(paths, first_rotation=0):
-    """Sweep a family of strand paths, sampled at common steps, into a
-    braid word.
+def _loop_word(loop, rotation, readings):
+    """The word of a tracked loop swept in the fiber plane multiplied by
+    rotation, each of its segments read once into ``readings``.
 
-    The fiber plane is rotated by k pi/17 for k = first_rotation,
-    first_rotation + 1, ... until every crossing is a clean transversal
-    exchange of neighbors.  Returns the word and that k; ambiguity up to
-    k = MAX_ROTATIONS is a hard error.
+    The strands come back along the walk's samples reversed, and an
+    interval swept backwards has the same swaps with the opposite signs:
+    so the return is the walk's groups in reverse order, each letter
+    negated, and each group still in ascending index order.  The loop is
+    ambiguous when a crossing on any of its segments comes closer than
+    1e-11 times the loop's largest |z|.
     """
-    n = len(paths)
-    if n < 2:
-        raise SweepError("need at least two strands")
-    if len({len(p.samples) for p in paths}) > 1:
-        raise SweepError("strand paths do not have the same number of samples")
-    strands = [p.samples for p in paths]
-    tol = 1e-11 * (max(abs(z) for s in strands for z in s) or 1.0)
+    segments = loop.walk + loop.circle
+    for s in segments:
+        if s not in readings:
+            readings[s] = braid_from_strand_paths(s.strands, rotation)
+    tol = 1e-11 * (max(s.size for s in segments) or 1.0)
+    if min(readings[s][1] for s in segments) < tol:
+        raise _Ambiguous("crossing too close to a true collision")
+    walk = [g for s in loop.walk for g in readings[s][0]]
+    circle = [g for s in loop.circle for g in readings[s][0]]
+    back = [tuple(-a for a in g) for g in reversed(walk)]
+    return BraidWord(len(loop.perm), free_reduce([a for g in walk + circle + back for a in g]))
+
+
+def _one_frame(loops):
+    """(words, k): every tracked loop read at the first rotation k pi/17 at
+    which all of them sweep cleanly.  At each k the loops are read in turn
+    and the first ambiguous one moves on to k + 1; ambiguity up to
+    k = MAX_ROTATIONS is a hard error."""
     last = None
-    for k in range(first_rotation, MAX_ROTATIONS + 1):
+    for k in range(MAX_ROTATIONS + 1):
+        rotation, readings = cmath.exp(1j * math.pi * k / 17), {}
         try:
-            letters = _sweep(strands, cmath.exp(1j * math.pi * k / 17), tol)
-            return BraidWord(n, free_reduce(tuple(letters))), k
+            return [_loop_word(loop, rotation, readings) for loop in loops], k
         except _Ambiguous as exc:
             last = exc
     raise SweepError(f"sweep stayed ambiguous after {MAX_ROTATIONS} rotations: {last}")
-
-
-def _one_frame(families):
-    """(words, k): every family of strand paths read at the first rotation
-    k pi/17 at which all of them sweep cleanly."""
-    k, words = 0, {}
-    while len(words) < len(families):
-        i = next(j for j in range(len(families)) if j not in words)
-        word, clean = braid_from_strand_paths(families[i], k)
-        if clean != k:  # rotations k .. clean - 1 are ambiguous for family i
-            k, words = clean, {}
-        words[i] = word
-    return [words[i] for i in range(len(families))], k
 
 
 def fiber_evaluator(sheared, center):
@@ -325,9 +345,46 @@ def _check_mirror(circle):
                          "so its second half cannot be read off the first")
 
 
+class _Segment:
+    """One tracked piece of a walk tree: strands[k] holds strand k's
+    positions at its samples, and size is the largest |z| among them."""
+    __slots__ = ("strands", "size")
+
+    def __init__(self, strands):
+        self.strands = strands
+        self.size = max(max(map(abs, s)) for s in strands)
+
+
+class _TrackedLoop:
+    """A loop as segments of its side's walk tree.  walk runs from the
+    basepoint to the circle's start; circle is the first half, then the
+    mirrored second half ending on the walk's end fiber; strand k comes back
+    along the walk of strand perm[k], reversed."""
+    __slots__ = ("walk", "circle", "perm")
+
+    def __init__(self, walk, circle, perm):
+        self.walk, self.circle, self.perm = walk, circle, perm
+
+
+def _joined(segments, k):
+    """Strand k's samples along consecutive segments."""
+    out = list(segments[0].strands[k])
+    for s in segments[1:]:
+        out += s.strands[k][1:]
+    return out
+
+
+def _closed_paths(loop):
+    """The closed strand paths of a tracked loop: out along the walk, once
+    around the circle and back along the walk of the strand it ended on."""
+    walks = [_joined(loop.walk, k) for k in range(len(loop.perm))]
+    return [StrandPath(k, walks[k] + _joined(loop.circle, k)[1:] + walks[j][-2::-1])
+            for k, j in enumerate(loop.perm)]
+
+
 def _track_side(sheared, loops, start, targets, clearance):
-    """Closed strand paths of the loops on one side of the basepoint, given
-    nearest target first.
+    """The loops on one side of the basepoint, given nearest target first,
+    as segments of one walk tree (``_TrackedLoop``).
 
     Their walks are prefixes of one path (see ``build_loops``), and each
     segment of it is tracked once: a loop's walk adds an axis leg to the
@@ -344,11 +401,11 @@ def _track_side(sheared, loops, start, targets, clearance):
     critical value but the loop's target; the targets are real, so the
     mirror has the same clearance.  Strand k walks out, circles, and comes
     back along the walk of strand perm[k] reversed, where the circle
-    brought it.
+    brought it: the second half's segment ends with one junction sample,
+    the walk's end position of strand perm[k].
     """
-    # the first `tracked` walk waypoints are tracked; walk[k] holds strand
-    # k's samples along them
-    tracked, walk, families = 1, [[z] for z in start], []
+    # the first `tracked` walk waypoints are tracked into the segments of walk
+    tracked, walk, ends, out_loops = 1, [], list(start), []
     for loop in loops:
         _check_mirror(loop.circle)
         leg = loop.walk[tracked - 1:]
@@ -356,9 +413,8 @@ def _track_side(sheared, loops, start, targets, clearance):
         check_clearance(leg + loop.circle[1:half + 1],
                         [t for t in targets if t != loop.target], clearance)
         fiber = fiber_evaluator(sheared, loop.target.real)
-        for s, path in zip(walk, continue_roots(fiber, leg, [s[-1] for s in walk])):
-            s += path.samples[1:]
-        ends = [s[-1] for s in walk]
+        walk = walk + [_Segment([p.samples for p in continue_roots(fiber, leg, ends)])]
+        ends = [s[-1] for s in walk[-1].strands]
         out = continue_roots(fiber, loop.circle[:half + 1], ends)
         # the fiber over the real far point is its own conjugate: strand k
         # sits where strand j's conjugate ends, and goes on along it reversed
@@ -367,13 +423,14 @@ def _track_side(sheared, loops, start, targets, clearance):
                 for k, j in enumerate(mirror)]
         # loudly validates that the circle closed on the walk's end fiber
         perm = end_permutation(back, ends)
-        families.append([StrandPath(k, walk[k] + o.samples[1:] + b.samples[1:]
-                                    + walk[perm[k]][::-1])
-                         for k, (o, b) in enumerate(zip(out, back))])
-        for s, path in zip(walk, out):
-            s += path.samples[1:]
+        first = _Segment([p.samples for p in out])
+        second = _Segment([o.samples[-1:] + b.samples[1:] + [ends[j]]
+                           for o, b, j in zip(out, back, perm)])
+        out_loops.append(_TrackedLoop(walk, [first, second], perm))
+        walk = walk + [first]
+        ends = [s[-1] for s in first.strands]
         tracked = len(loop.walk) + half
-    return families
+    return out_loops
 
 
 def _strand_names(curve, basepoint, start_roots):
@@ -396,11 +453,14 @@ def monodromy_factorization(curve=None, basepoint=None, shear=DEFAULT_SHEAR,
                             circle_steps=32, keep_paths=False):
     """The braid monodromy factorization of the curve, one factor per loop.
 
-    Factors appear in the counterclockwise cyclic order starting with the
-    loops farthest to the left of the basepoint; for the 3-cuspidal quartic
-    with a small shear that is the two split cusp values near -9/8, then
-    the tangency near -1, then the origin cusp.  All factors are read in one
-    sweep frame, the fiber plane rotated by sweep_rotation * pi/17.
+    Factors appear in ``build_loops``' order: left targets farthest first,
+    then right targets nearest first, which is counterclockwise only while
+    at most one target lies right of the basepoint.  For the 3-cuspidal
+    quartic with a small shear and the default basepoint that is the two
+    split cusp values near -9/8, then the tangency near -1, then the origin
+    cusp.  All factors are read in one sweep frame, the fiber plane rotated
+    by sweep_rotation * pi/17: the smallest k at which every loop reads
+    cleanly.
     """
     curve = curve or cuspidal_quartic()
     basepoint = default_basepoint() if basepoint is None else float(basepoint)
@@ -414,13 +474,13 @@ def monodromy_factorization(curve=None, basepoint=None, shear=DEFAULT_SHEAR,
     targets = [loop.target for loop in loops]
     clearance = 0.9 * min(radius, 1.0)
     left = [loop for loop in loops if loop.target.real < basepoint]
-    families = (_track_side(sheared, left[::-1], start, targets, clearance)[::-1]
-                + _track_side(sheared, loops[len(left):], start, targets, clearance))
-    factors, rotation = _one_frame(families)
+    tracked = (_track_side(sheared, left[::-1], start, targets, clearance)[::-1]
+               + _track_side(sheared, loops[len(left):], start, targets, clearance))
+    factors, rotation = _one_frame(tracked)
     return MonodromyResult(
         n_strands=len(start_roots), factors=factors, loops=loops,
         basepoint=basepoint, shear=shear, strand_names=names, sweep_rotation=rotation,
-        strand_paths=families if keep_paths else [])
+        strand_paths=[_closed_paths(t) for t in tracked] if keep_paths else [])
 
 
 def strand_paths_svg(paths):

@@ -40,6 +40,13 @@ def test_monodromy_matches_golden(capsys):
     assert out == (FIXTURES / "monodromy_sheared.json").read_text()
 
 
+def test_monodromy_right_of_every_critical_value_matches_golden(capsys):
+    # four loops on the left whose walks share three half circles
+    code, out = run_cli(capsys, "monodromy", "--shear", "1/1000", "--basepoint", "0.5")
+    assert code == 0
+    assert out == (FIXTURES / "monodromy_right_of_all.json").read_text()
+
+
 def test_discriminant_matches_golden(capsys):
     code, out = run_cli(capsys, "discriminant")
     assert code == 0

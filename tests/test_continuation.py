@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspidal import continuation
 from cuspidal.continuation import (
-    HALVING_BUDGET, ClearanceError, ContinuationError, StrandPath, _min_pairwise,
-    _newton_track, check_clearance, continue_roots, end_permutation,
+    HALVING_BUDGET, NEWTON_STEPS, NEWTON_TOL, ClearanceError, ContinuationError,
+    StrandPath, _min_pairwise, check_clearance, continue_roots, end_permutation,
 )
 from cuspidal.monodromy import _start_roots, build_loops, fiber_evaluator
 from cuspidal.quartic import critical_values, cuspidal_quartic, sheared_curve
-from cuspidal.roots import inclusion_radius, roots_univariate
+from cuspidal.roots import _eval_error_bound, eval_poly, inclusion_radius, roots_univariate
 
 
 def fiber_c(x):
@@ -109,6 +110,32 @@ def _from_roots(roots):
     return coeffs
 
 
+def _newton_track(coeffs, z, sep):
+    """The reference Newton run, returning (converged, new position).
+
+    A run converges when a step falls below NEWTON_TOL * max(1, |z|).  Near a
+    collision of strands p/p' can stay above that for rounding noise alone,
+    so a run that never passes the step test still converges when it ends
+    at the rounding floor: |p(z)| within the Horner error bound and the
+    exact ``inclusion_radius`` of the fiber at z below sep/6.
+    """
+    tol = NEWTON_TOL * max(1.0, abs(z))
+    descending = coeffs[::-1]
+    for _ in range(NEWTON_STEPS):
+        p = dp = 0j  # Horner for p and p' together, as roots.eval_poly_deriv
+        for c in descending:
+            dp = dp * z + p
+            p = p * z + c
+        if dp == 0:
+            return False, z
+        step = p / dp
+        z = z - step
+        if abs(step) < tol:
+            return True, z
+    at_floor = abs(eval_poly(coeffs, z)) <= _eval_error_bound(coeffs, z)
+    return at_floor and inclusion_radius(coeffs, z) < sep / 6.0, z
+
+
 def test_newton_track_stops_at_the_rounding_floor():
     # two roots 2e-5 apart: p/p' is rounding noise above the step test, so
     # only the rounding-floor stop can accept the run, and only while the
@@ -194,3 +221,39 @@ def test_origin_loops_match_the_halving_reference(basepoint, steps):
     start = fiber_roots(basepoint)
     loop = circle(0.0, basepoint, steps=steps)
     _assert_same_samples(fiber_c, loop, start)
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_swapping_roots_match_the_halving_reference(degree):
+    # degrees 3 and 5 take the general Horner loop, 4 the unrolled one; the
+    # roots x and -x trade places as x goes half around 0
+    fixed = [2.1 + 0.4j, -1.7 - 1.9j, 0.3 + 2.6j][:degree - 2]
+
+    def fiber(x):
+        return _from_roots([x, -x] + fixed)
+
+    half_turn = circle(0.0, 0.8, steps=5, turns=0.5)
+    paths = _assert_same_samples(fiber, half_turn, [0.8, -0.8] + fixed)
+    assert abs(paths[0].samples[-1] + 0.8) < 1e-12
+    assert len(paths[0].samples) > len(half_turn)  # some steps were halved
+
+
+@pytest.mark.parametrize("degree", [4, 5])
+def test_rounding_floor_path_matches_the_halving_reference(monkeypatch, degree):
+    # a root pair 2e-5 apart moves along: p/p' is rounding noise above the
+    # step test there, so its strands are accepted at the rounding floor
+    w, d = 0.7123 + 0.3071j, 1e-5
+    others = [-1.3 + 0.2j, 0.4 - 1.1j, 1.9 + 1.2j][:degree - 2]
+
+    def fiber(x):
+        return _from_roots([w + d + x, w - d + x] + others)
+
+    at_floor, verdicts = continuation._at_rounding_floor, []
+
+    def recorded(coeffs, z, sep):
+        verdicts.append(at_floor(coeffs, z, sep))
+        return verdicts[-1]
+
+    monkeypatch.setattr(continuation, "_at_rounding_floor", recorded)
+    _assert_same_samples(fiber, [0.0, 1e-6, 3e-6j, 4e-6 + 1e-6j], [w + d, w - d] + others)
+    assert any(verdicts)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,17 +10,16 @@ from hypothesis import strategies as st
 from cuspidal import checks, monodromy
 from cuspidal.braids import (
     BraidWord, braid_equal, compose_permutations, conjugate_power_witness,
-    is_transposition, permutation_image,
+    free_reduce, is_transposition, permutation_image,
 )
 from cuspidal.continuation import StrandPath, continue_roots
 from cuspidal.groups import (
     abelianization, add_projective_relation, todd_coxeter, van_kampen,
 )
 from cuspidal.monodromy import (
-    DEFAULT_SHEAR, SweepError, _one_frame, _start_roots, braid_from_strand_paths,
-    build_loops,
-    default_basepoint, fiber_evaluator, monodromy_factorization,
-    strand_paths_svg,
+    DEFAULT_SHEAR, MAX_ROTATIONS, SweepError, _Ambiguous, _start_roots,
+    braid_from_strand_paths, build_loops, default_basepoint, fiber_evaluator,
+    monodromy_factorization, strand_paths_svg,
 )
 from cuspidal.mpoly import MPoly
 from cuspidal.quartic import critical_values, cuspidal_quartic, sheared_curve
@@ -33,6 +33,37 @@ def factorization():
     return monodromy_factorization(keep_paths=True)
 
 
+def read_family(paths, first_rotation=0):
+    """The whole-family reader: (word, k) for one loop's closed strand
+    paths, swept in the fiber plane rotated by k pi/17 for the first
+    k >= first_rotation at which every crossing is a clean transversal
+    exchange of neighbors, at least 1e-11 times the family's largest |z|
+    from a collision."""
+    strands = [p.samples for p in paths]
+    tol = 1e-11 * (max(abs(z) for s in strands for z in s) or 1.0)
+    for k in range(first_rotation, MAX_ROTATIONS + 1):
+        try:
+            groups, gap = braid_from_strand_paths(strands, cmath.exp(1j * math.pi * k / 17))
+        except _Ambiguous:
+            continue
+        if gap >= tol:
+            return BraidWord(len(paths), free_reduce([a for g in groups for a in g])), k
+    raise SweepError(f"sweep stayed ambiguous after {MAX_ROTATIONS} rotations")
+
+
+def read_families_in_one_frame(families):
+    """(words, k): every family read by ``read_family`` at the first
+    rotation k at which all of them sweep cleanly."""
+    k, words = 0, {}
+    while len(words) < len(families):
+        i = next(j for j in range(len(families)) if j not in words)
+        word, clean = read_family(families[i], k)
+        if clean != k:  # rotations k .. clean - 1 are ambiguous for family i
+            k, words = clean, {}
+        words[i] = word
+    return [words[i] for i in range(len(families))], k
+
+
 def _synthetic_paths(fn_list, steps=64):
     times = [k / steps for k in range(steps + 1)]
     return [StrandPath(i, [fn(t) for t in times]) for i, fn in enumerate(fn_list)]
@@ -40,7 +71,7 @@ def _synthetic_paths(fn_list, steps=64):
 
 def test_sweep_constant_paths_is_empty():
     paths = _synthetic_paths([lambda t: -1 + 0j, lambda t: 1 + 0j])
-    assert braid_from_strand_paths(paths)[0].letters == ()
+    assert read_family(paths)[0].letters == ()
 
 
 def test_sweep_counterclockwise_halfturn_is_positive_generator():
@@ -48,7 +79,7 @@ def test_sweep_counterclockwise_halfturn_is_positive_generator():
         lambda t: -cmath.exp(1j * math.pi * t),
         lambda t: cmath.exp(1j * math.pi * t),
     ])
-    assert braid_from_strand_paths(paths)[0].letters == (1,)
+    assert read_family(paths)[0].letters == (1,)
 
 
 def test_sweep_clockwise_halfturn_is_negative_generator():
@@ -56,7 +87,7 @@ def test_sweep_clockwise_halfturn_is_negative_generator():
         lambda t: -cmath.exp(-1j * math.pi * t),
         lambda t: cmath.exp(-1j * math.pi * t),
     ])
-    assert braid_from_strand_paths(paths)[0].letters == (-1,)
+    assert read_family(paths)[0].letters == (-1,)
 
 
 def test_sweep_full_twist():
@@ -64,7 +95,7 @@ def test_sweep_full_twist():
         lambda t: -cmath.exp(1j * 2 * math.pi * t),
         lambda t: cmath.exp(1j * 2 * math.pi * t),
     ], steps=128)
-    assert braid_from_strand_paths(paths)[0].letters == (1, 1)
+    assert read_family(paths)[0].letters == (1, 1)
 
 
 def test_loop_order_and_multiplicities():
@@ -155,6 +186,19 @@ def test_strand_names_follow_the_two_real_two_imaginary_table():
     assert factorization().strand_names == ["A2", "B1", "A1", "B2"]
 
 
+def test_braid_check_reads_the_powers_from_the_exact_orders():
+    result = factorization()
+    assert checks.criterion_braid_monodromy(result)[0]
+    # the orders of the tangency and the origin cusp swapped: the factors no
+    # longer have the exponent sums and powers of their loops' orders
+    loops = list(result.loops)
+    loops[2] = replace(loops[2], multiplicity=loops[3].multiplicity)
+    loops[3] = replace(loops[3], multiplicity=result.loops[2].multiplicity)
+    swapped = replace(result, loops=loops)
+    assert [loop.multiplicity for loop in swapped.loops] == [3, 3, 3, 1]
+    assert not checks.criterion_braid_monodromy(swapped)[0]
+
+
 def test_first_two_factors_commute():
     result = factorization()
     f1, f2 = result.factors[0], result.factors[1]
@@ -175,7 +219,7 @@ def connecting_braid(curve, from_basepoint, via):
     sheared = sheared_curve(curve, DEFAULT_SHEAR)
     start = [r.value for r in _start_roots(sheared, from_basepoint)]
     paths = continue_roots(fiber_evaluator(sheared, from_basepoint), via, initial=start)
-    return braid_from_strand_paths(paths)[0]
+    return read_family(paths)[0]
 
 
 def test_basepoint_drag_conjugates_each_factor():
@@ -283,10 +327,44 @@ def _assert_one_sweep_frame(result):
     and no smaller rotation reads every loop cleanly."""
     k = result.sweep_rotation
     for factor, paths in zip(result.factors, result.strand_paths, strict=True):
-        assert braid_from_strand_paths(paths, k) == (factor, k)
+        assert read_family(paths, k) == (factor, k)
     for j in range(k):
-        assert any(braid_from_strand_paths(paths, j)[1] != j
-                   for paths in result.strand_paths)
+        assert any(read_family(paths, j)[1] != j for paths in result.strand_paths)
+
+
+@st.composite
+def factorization_inputs(draw):
+    """(shear, basepoint, circle_steps): a shear from the benchmark's ladder
+    1/10 .. 1/1000, a basepoint in the middle of one of the five intervals
+    the critical values cut the axis into, and an even circle_steps."""
+    shear = Fraction(1, draw(st.integers(10, 1000)))
+    values = [v.real for v, _ in critical_values(cuspidal_quartic(), shear)]
+    ends = [values[0] - 1] + values + [values[-1] + 1]
+    i = draw(st.integers(0, len(ends) - 2))
+    basepoint = ends[i] + draw(st.floats(0.2, 0.8)) * (ends[i + 1] - ends[i])
+    return shear, basepoint, 2 * draw(st.integers(4, 32))
+
+
+@settings(max_examples=20, deadline=None)
+@given(factorization_inputs())
+@example((Fraction(1, 15), -1.0496992563989496, 24))  # the mixed-frame input
+def test_segment_words_match_the_whole_family_reader(inputs):
+    shear, basepoint, steps = inputs
+    result = monodromy_factorization(basepoint=basepoint, shear=shear,
+                                     circle_steps=steps, keep_paths=True)
+    _assert_one_sweep_frame(result)
+
+
+@pytest.mark.parametrize("rotation", [1, 5, 12])
+def test_a_segment_swept_backwards_reads_its_groups_inverted(rotation):
+    # what the return leg of every loop is read by: the same swaps in each
+    # sample interval, with opposite signs, in the reverse order of intervals
+    turn = cmath.exp(1j * math.pi * rotation / 17)
+    for paths in factorization().strand_paths:
+        strands = [p.samples for p in paths]
+        groups = braid_from_strand_paths(strands, turn)[0]
+        back = braid_from_strand_paths([s[::-1] for s in strands], turn)[0]
+        assert back == [tuple(-a for a in g) for g in reversed(groups)]
 
 
 def test_default_factorization_is_read_in_one_sweep_frame():
@@ -305,7 +383,7 @@ def test_mixed_frame_input_is_read_in_one_frame():
                                      circle_steps=24, keep_paths=True)
     _assert_one_sweep_frame(result)
     assert result.sweep_rotation == 1
-    assert braid_from_strand_paths(result.strand_paths[1])[1] == 0
+    assert read_family(result.strand_paths[1])[1] == 0
     assert [list(f.letters) for f in result.factors] == [
         [3, 3, 1, 1, 1, -3, -3], [3, 3, 3], [2], [2, 3, 1, 2, 2, 2, -1, -3, -2]]
     perms = [permutation_image(f) for f in result.factors]
@@ -336,7 +414,7 @@ def _factors_with_a_tracked_return(shear, basepoint, circle_steps):
     families = [continue_roots(fiber_evaluator(sheared, loop.target.real),
                                loop.walk + loop.circle[1:] + loop.walk[::-1], start)
                 for loop in loops]
-    return _one_frame(families)
+    return read_families_in_one_frame(families)
 
 
 @pytest.mark.parametrize("shear, basepoint, steps", [
