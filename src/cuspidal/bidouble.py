@@ -6,7 +6,10 @@ module basis (1, z, w, zw).  The multiplication table is the triple of
 matrices (M_z, M_w, M_zw): M_z and M_w are read off the two relations, and
 M_zw is their product.  The discriminant comes out as the norm of the
 different R = 4zw - ab, and its normal form delta with the
-three cusps at (3/4 zeta^2, 3/4 zeta) are verified exactly in Q(zeta).
+three cusps at (3/4 zeta^2, 3/4 zeta) are verified exactly in Q(zeta),
+computed as Q[z] modulo zeta's minimal polynomial z^2 + z + 1: a
+polynomial in z stands for its value at zeta, and its remainder (x, y)
+modulo z^2 + z + 1 is the element x + y zeta.
 """
 
 from __future__ import annotations
@@ -15,91 +18,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import exactpoly as xp
 from .mpoly import MPoly, determinant, ring
 
 BASE_VARS = ("u", "v", "a", "b")
 COVER_VARS = ("u", "v", "a", "b", "z", "w")
+PHI3 = (1, 1, 1)  # z^2 + z + 1, ascending: the minimal polynomial of zeta
 
 
 class StructureError(RuntimeError):
     """An identity the geometry guarantees failed to hold."""
-
-
-# -- the cyclotomic field Q(zeta), zeta^2 = -1 - zeta ------------------------
-
-class Cyclo3:
-    """Elements x + y*zeta of Q(zeta) for a primitive cube root of unity."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y=0):
-        self.x = Fraction(x)
-        self.y = Fraction(y)
-
-    @classmethod
-    def zeta(cls, power=1):
-        power %= 3
-        if power == 0:
-            return cls(1)
-        if power == 1:
-            return cls(0, 1)
-        return cls(-1, -1)  # zeta^2 = -1 - zeta
-
-    def _coerce(self, other):
-        if isinstance(other, Cyclo3):
-            return other
-        return Cyclo3(other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Cyclo3(self.x + o.x, self.y + o.y)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclo3(-self.x, -self.y)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        # (x1 + y1 z)(x2 + y2 z) with z^2 = -1 - z
-        return Cyclo3(self.x * o.x - self.y * o.y,
-                      self.x * o.y + self.y * o.x - self.y * o.y)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        acc = Cyclo3(1)
-        base = self
-        n = int(n)
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        return self.x == o.x and self.y == o.y
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
-    def is_zero(self):
-        return self.x == 0 and self.y == 0
-
-    def as_complex(self):
-        zeta = complex(-0.5, math.sqrt(3) / 2)
-        return float(self.x) + float(self.y) * zeta
-
-    def __repr__(self):
-        return f"Cyclo3({self.x}, {self.y})"
 
 
 # -- the multiplication table -------------------------------------------------
@@ -196,20 +124,23 @@ def scaling_identity_residual():
 
 @dataclass(frozen=True)
 class CuspPoint:
-    u: Cyclo3
-    v: Cyclo3
+    """A cusp (u, v) with coordinates x + y zeta given as pairs (x, y)."""
+    u: tuple
+    v: tuple
     zeta_power: int
 
     def as_complex(self):
-        return self.u.as_complex(), self.v.as_complex()
+        zeta = complex(-0.5, math.sqrt(3) / 2)
+        return tuple(float(x) + float(y) * zeta for x, y in (self.u, self.v))
 
 
 def find_cusps():
-    """The three cusps of delta, certified exactly in Q(zeta).
+    """The three cusps of delta, certified exactly in Q(zeta) = Q[z]/(PHI3).
 
-    Follows the elimination u (d/du) - v (d/dv) = 3(u^3 - v^3), then
-    substitutes u = zeta v and checks the leftover quadratic is exactly
-    (v - 3/4 zeta)^2 up to the unit -2 zeta.
+    Follows the elimination u (d/du) - v (d/dv) = 3(u^3 - v^3); at each
+    candidate (3/4 z^(2k), 3/4 z^k) delta and its partials reduce to zero
+    modulo PHI3, and d(delta)/du at u = z^k v reduces to
+    -2 z^k v (v - 3/4 z^k)^2, the double root that makes the point a cusp.
     """
     delta = delta_normal_form()
     du = delta.partial("u")
@@ -220,38 +151,23 @@ def find_cusps():
         raise StructureError("elimination identity u d_u - v d_v = 3(u^3 - v^3) failed")
     if delta.evaluate({"u": Fraction(0), "v": Fraction(0)}) == 0:
         raise StructureError("origin unexpectedly lies on the curve")
+    (z,) = ring("z")
+    vs, zs = ring("v", "z")
     cusps = []
     for k in range(3):
-        zeta = Cyclo3.zeta(k)
-        vc = Fraction(3, 4) * zeta
-        uc = Fraction(3, 4) * zeta ** 2
-        # d(delta)/du at u = zeta v is v * (-2 zeta) * (v - 3/4 zeta)^2
+        uc, vc = Fraction(3, 4) * z ** (2 * k), Fraction(3, 4) * z ** k
         point = {"u": uc, "v": vc}
-        residuals = [delta.evaluate(point), du.evaluate(point), dv.evaluate(point)]
-        residuals = [r if isinstance(r, Cyclo3) else Cyclo3(r) for r in residuals]
-        if any(not r.is_zero() for r in residuals):
+        if any(_in_q_zeta(f.compose(point, ("z",))) != (0, 0) for f in (delta, du, dv)):
             raise StructureError(f"cusp candidate zeta^{k} has nonzero residuals")
-        quad = _substituted_quadratic(du, zeta)
-        target = [(vc * vc), -2 * vc, Cyclo3(1)]  # (v - 3/4 zeta)^2, ascending
-        unit = Cyclo3(-2) * zeta
-        if [unit * t for t in target] != quad:
+        zk = zs ** k
+        quad = (du.compose({"u": zk * vs, "v": vs}, ("v", "z"))
+                + 2 * zk * vs * (vs - Fraction(3, 4) * zk) ** 2)
+        if any(_in_q_zeta(c) != (0, 0) for c in quad.as_univariate("v")):
             raise StructureError(f"quadratic for zeta^{k} is not -2 zeta (v - 3/4 zeta)^2")
-        cusps.append(CuspPoint(uc, vc, k))
-    if len(cusps) != 3:
-        raise StructureError("expected exactly three cusps")
+        cusps.append(CuspPoint(_in_q_zeta(uc), _in_q_zeta(vc), k))
     return cusps
 
 
-def _substituted_quadratic(du, zeta):
-    """d(delta)/du at u = zeta v, divided by v, ascending Cyclo3 coefficients."""
-    by_v = {}
-    iu = du.variables.index("u")
-    iv = du.variables.index("v")
-    for expo, coeff in du.terms.items():
-        power = expo[iu] + expo[iv]
-        val = coeff * zeta ** expo[iu]
-        by_v[power] = by_v.get(power, Cyclo3(0)) + val
-    if not by_v.get(0, Cyclo3(0)).is_zero():
-        raise StructureError("substituted derivative has a constant term")
-    degree = max(by_v)
-    return [by_v.get(k, Cyclo3(0)) for k in range(1, degree + 1)]
+def _in_q_zeta(poly):
+    """The value (x, y) = x + y zeta of a polynomial in z at z = zeta."""
+    return xp.remainder(poly.univariate_coeffs("z"), PHI3)

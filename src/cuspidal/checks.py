@@ -94,8 +94,7 @@ def criterion_cusp_locations():
             worst = max(worst, abs(f.evaluate({"u": uc, "v": vc})))
     real = [c for c in cusps if c.zeta_power == 0]
     ok = (len(cusps) == 3 and len(real) == 1
-          and real[0].u == bidouble.Cyclo3(Fraction(3, 4))
-          and real[0].v == bidouble.Cyclo3(Fraction(3, 4))
+          and real[0].u == real[0].v == (Fraction(3, 4), 0)
           and worst < TOL_CUSP_RESIDUAL)
     return ok, {"count": len(cusps), "max_residual": worst, "points": points}
 

@@ -109,8 +109,8 @@ def cmd_cusps(args):
     cusps = bidouble.find_cusps()
     results = {"cusps": [
         {"zeta_power": c.zeta_power,
-         "u": {"rational_part": c.u.x, "zeta_part": c.u.y},
-         "v": {"rational_part": c.v.x, "zeta_part": c.v.y},
+         "u": {"rational_part": c.u[0], "zeta_part": c.u[1]},
+         "v": {"rational_part": c.v[0], "zeta_part": c.v[1]},
          "u_complex": complex(c.as_complex()[0]),
          "v_complex": complex(c.as_complex()[1])}
         for c in cusps]}

@@ -58,6 +58,13 @@ def divmod_exact(p, q):
     return trim(quot), r
 
 
+def remainder(p, m):
+    """p mod m as the deg m coefficients of 1, t, ..., padded with zeros:
+    the value of p in Q[t]/(m)."""
+    r = divmod_exact(p, m)[1]
+    return tuple(r + [Fraction(0)] * (degree(m) - len(r)))
+
+
 def derivative(p):
     return trim([c * i for i, c in enumerate(p)][1:])
 

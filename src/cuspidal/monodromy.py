@@ -284,18 +284,18 @@ def fiber_evaluator(sheared, center):
             for j in range(len(a) - 2, i - 1, -1):
                 a[j] += c * a[j + 1]
         try:
-            tables.append([float(b) for b in reversed(a)])
+            lead, *rest = (float(b) for b in reversed(a))
         except OverflowError:
             raise OverflowError(f"fiber Taylor coefficients at center x = {center} "
                                 "overflow double precision") from None
+        tables.append((complex(lead), rest))  # Horner starts at the leading term
     c = float(c)
 
     def fiber(x):
         t = x - c
         out = []
-        for table in tables:
-            acc = 0j
-            for b in table:
+        for acc, rest in tables:
+            for b in rest:
                 acc = acc * t + b
             out.append(acc)
         return out

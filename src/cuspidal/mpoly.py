@@ -291,9 +291,8 @@ class MPoly:
     def evaluate(self, values):
         """Evaluate at a point given as dict name -> value.
 
-        Exact for Fraction-like values (including ring elements that
-        implement ``__rmul__`` against Fraction); floats/complex values
-        switch the computation to hardware arithmetic.
+        Exact for Fraction-like values; floats/complex values switch the
+        computation to hardware arithmetic.
         """
         missing = [v for v in self.variables if v not in values]
         if missing:

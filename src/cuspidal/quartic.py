@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -79,9 +80,7 @@ def _from_coeffs(coeffs):
 
 
 def _remove_common_factor(lists):
-    g = []
-    for c in lists:
-        g = xp.gcd(g, c) if g else xp.trim(c)
+    g = functools.reduce(xp.gcd, lists)
     if xp.degree(g) < 1:
         return [xp.trim(c) for c in lists]
     out = []
@@ -143,7 +142,6 @@ def implicitize(param):
     if p.degree_in("t") < 1 or q.degree_in("t") < 1:
         raise CurveError("parametrization has no t-dependence to eliminate")
     res = resultant(p, q, "t")
-    res = res.dropped("t") if "t" in res.variables and res.degree_in("t") == 0 else res
     if res.is_zero():
         raise CurveError("degenerate elimination: resultant vanished identically")
     return PlaneCurve(res.primitive())
@@ -504,9 +502,7 @@ def flexes_and_cusps():
     for i in range(3):
         for j in range(i + 1, 3):
             minors.append(xp.sub(xp.mul(comp[i], dcomp[j]), xp.mul(comp[j], dcomp[i])))
-    g = []
-    for m in minors:
-        g = xp.gcd(g, m) if g else xp.trim(m)
+    g = functools.reduce(xp.gcd, minors)
     if xp.degree(g) != 2 or xp.monic(g) != xp.monic(flex_factor):
         raise CurveError("cusp parameters of the dual are not at 3t^2 - 1")
     s3 = math.sqrt(3)
@@ -520,15 +516,9 @@ def flexes_and_cusps():
 
 def _dual_point_at_flex(dual):
     """Exact (x, y^2) of the dual curve at the parameters with 3t^2 = 1."""
-    def reduce_mod(coeffs):
-        # the remainder modulo t^2 - 1/3: (constant, t-coefficient)
-        r = xp.divmod_exact(coeffs, [Fraction(-1, 3), Fraction(0), Fraction(1)])[1]
-        return tuple(r + [Fraction(0)] * (2 - len(r)))
-
-    X, Y, Z = (c for c in dual.coeff_lists())
-    x0, x1 = reduce_mod(X)
-    z0, z1 = reduce_mod(Z)
-    y0, y1 = reduce_mod(Y)
+    # each component's remainder modulo t^2 - 1/3: (constant, t-coefficient)
+    (x0, x1), (y0, y1), (z0, z1) = (xp.remainder(c, [Fraction(-1, 3), 0, 1])
+                                    for c in dual.coeff_lists())
     if x1 != 0 or z1 != 0 or y0 != 0:
         raise CurveError("unexpected parity structure at the flex parameters")
     xs = x0 / z0

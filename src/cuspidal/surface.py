@@ -20,7 +20,7 @@ diagonal coordinate change, computed here and verified rather than assumed.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import exactpoly as xp
 from .bidouble import StructureError, discriminant_norm
@@ -171,11 +171,7 @@ def _frame_everywhere_independent(e1, e2):
               for a in range(4) for b in range(a + 1, 4)]
     if not any(minors):
         return False
-    g = []
-    for m in minors:
-        if m:
-            g = xp.gcd(g, m) if g else xp.monic(m)
-    if xp.degree(g) > 0:
+    if xp.degree(reduce(xp.gcd, minors)) > 0:
         return False
     # shared root at t0 = 0 means every minor misses the t1^4 coefficient
     if all(len(m) < 5 or m[4] == 0 for m in minors):

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
 
+from cuspidal import exactpoly as xp
 from cuspidal.bidouble import (
-    BASE_VARS, Cyclo3, delta_normal_form,
+    BASE_VARS, PHI3, CuspPoint, delta_normal_form,
     different, discriminant_norm, find_cusps, mat_scale_identity, mat_sub,
     multiplication_matrices, scaling_identity_residual,
 )
@@ -161,10 +162,13 @@ def test_cusps_exact():
     cusps = find_cusps()
     assert len(cusps) == 3
     real = [c for c in cusps if c.zeta_power == 0][0]
-    assert real.u == Cyclo3(Fraction(3, 4)) and real.v == Cyclo3(Fraction(3, 4))
+    assert real.u == real.v == (Fraction(3, 4), 0)
+    # zeta = (0, 1) and zeta^2 = -1 - zeta = (-1, -1)
+    q = Fraction(3, 4)
+    powers = [(q, 0), (0, q), (-q, -q)]
     for c in cusps:
-        assert c.u == Fraction(3, 4) * Cyclo3.zeta(c.zeta_power) ** 2
-        assert c.v == Fraction(3, 4) * Cyclo3.zeta(c.zeta_power)
+        assert c.u == powers[2 * c.zeta_power % 3]
+        assert c.v == powers[c.zeta_power]
 
 
 def test_cusps_numeric_residuals():
@@ -202,9 +206,12 @@ def test_norm_interpretation_of_generator_determinants():
         assert determinant(m_w).evaluate(pt_w) == 0
 
 
-def test_cyclo3_arithmetic():
-    z = Cyclo3.zeta()
-    assert z ** 3 == Cyclo3(1)
-    assert z * z == Cyclo3.zeta(2)
-    assert (z + z ** 2) == Cyclo3(-1)
-    assert abs(z.as_complex() ** 3 - 1) < 1e-15
+def test_remainder_is_the_value_in_the_number_field():
+    # zeta^3 = 1 and zeta + zeta^2 = -1 in Q[z]/(z^2 + z + 1)
+    assert xp.remainder([0, 0, 0, 1], PHI3) == (1, 0)
+    assert xp.remainder([0, 1, 1], PHI3) == (-1, 0)
+    assert xp.remainder([], PHI3) == (0, 0)
+    # t^2 = 1/3 in Q[t]/(t^2 - 1/3)
+    assert xp.remainder([0, 0, 1], [Fraction(-1, 3), 0, 1]) == (Fraction(1, 3), 0)
+    zeta = CuspPoint((0, 1), (-1, -1), 1).as_complex()
+    assert abs(zeta[0] ** 3 - 1) < 1e-15 and abs(zeta[0] ** 2 - zeta[1]) < 1e-15

@@ -1,11 +1,13 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
-from cuspidal import checks, cli, groups, quartic, surface
+from cuspidal import bidouble, checks, cli, groups, quartic, surface
 from cuspidal.bidouble import StructureError
 from cuspidal.cli import main
+from cuspidal.mpoly import ring
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "v1"
 
@@ -57,6 +59,18 @@ def test_surface_checks_match_golden(capsys):
     code, out = run_cli(capsys, "surface-checks", "--seed", "0")
     assert code == 0
     assert out == (FIXTURES / "surface_checks.json").read_text()
+
+
+def test_curve_checks_match_golden(capsys):
+    code, out = run_cli(capsys, "curve-checks")
+    assert code == 0
+    assert out == (FIXTURES / "curve_checks.json").read_text()
+
+
+def test_reproduce_all_matches_golden(capsys):
+    code, out = run_cli(capsys, "reproduce-all", "--seed", "0")
+    assert code == 0
+    assert out == (FIXTURES / "reproduce_all.json").read_text()
 
 
 def test_critical_values_separate_split_cusp_values_at_a_tiny_shear(capsys):
@@ -349,6 +363,21 @@ def test_a_raising_surface_step_is_a_failed_check(capsys, monkeypatch):
     assert code == 1
     [step] = [c for c in json.loads(out)["checks"] if not c["pass"]]
     assert step == {"name": "tangent_surface", "pass": False, "witness": witness}
+
+
+def test_a_perturbed_discriminant_fails_the_cusp_locations(capsys, monkeypatch):
+    normal_form = bidouble.delta_normal_form
+    u, v = ring("u", "v")
+    monkeypatch.setattr(bidouble, "delta_normal_form",
+                        lambda: normal_form() + u ** 2 * v ** 2 * Fraction(1, 1000))
+    with pytest.raises(StructureError, match=r"zeta\^0 has nonzero residuals"):
+        bidouble.find_cusps()
+    code, out = run_cli(capsys, "cusps")
+    assert code == 1
+    [check] = json.loads(out)["checks"]
+    assert check == {"name": "cusp_locations", "pass": False, "witness": {
+        "exception": "StructureError",
+        "message": "cusp candidate zeta^0 has nonzero residuals"}}
 
 
 def test_a_doubled_net_fails_the_determinant_identity(capsys, monkeypatch):
