@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import exactpoly as xp
 from .mpoly import MPoly, determinant, ring
@@ -56,21 +57,13 @@ def multiplication_matrices():
     return m_z, m_w, m_zw
 
 
-def mat_sub(a, b):
-    return [[a[i][j] - b[i][j] for j in range(4)] for i in range(4)]
-
-
-def mat_scale_identity(c, vars_):
-    zero = MPoly.zero(vars_)
-    return [[c if i == j else zero for j in range(4)] for i in range(4)]
-
-
 def different():
     """Ramification determinant det [[2z, -a], [-b, 2w]] = 4zw - ab."""
     u, v, a, b, z, w = ring(*COVER_VARS)
     return determinant([[2 * z, -a], [-b, 2 * w]])
 
 
+@lru_cache(maxsize=None)
 def discriminant_norm():
     """Discriminant Delta = 4^4 det(M_zw - ab/4 I) and its normal form P.
 
@@ -81,7 +74,8 @@ def discriminant_norm():
     _, _, m_zw = multiplication_matrices()
     _, _, a, b = ring(*BASE_VARS)
     shift = a * b * Fraction(1, 4)
-    delta = determinant(mat_sub(m_zw, mat_scale_identity(shift, BASE_VARS))) * 256
+    delta = determinant([[x - shift if i == j else x for j, x in enumerate(row)]
+                         for i, row in enumerate(m_zw)]) * 256
     p = _reexpress_even(delta * Fraction(-1, 256), BASE_VARS)
     return delta, p
 
@@ -103,6 +97,7 @@ def _reexpress_even(poly, vars_):
 
 # -- normal forms of the discriminant curve ----------------------------------
 
+@lru_cache(maxsize=None)
 def delta_normal_form():
     """delta(u, v) = P(u, v, 1, 1)."""
     _, p = discriminant_norm()

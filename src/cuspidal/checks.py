@@ -80,9 +80,11 @@ def criterion_scaling_identity():
     return residual.is_zero(), {"residual": residual.canonical_str()}
 
 
-def criterion_cusp_locations():
-    """Three cusps at (3/4 zeta^2, 3/4 zeta): exact plus float residuals."""
-    cusps = bidouble.find_cusps()
+def criterion_cusp_locations(cusps=None):
+    """Three cusps at (3/4 zeta^2, 3/4 zeta): exact plus float residuals.
+    Checks ``cusps``, or those `bidouble.find_cusps` returns when it is None."""
+    if cusps is None:
+        cusps = bidouble.find_cusps()
     delta = bidouble.delta_normal_form()
     du, dv = delta.partial("u"), delta.partial("v")
     worst = 0.0
@@ -214,10 +216,13 @@ def criterion_group_fingerprints():
     return ok, witness
 
 
-def criterion_s4_uniqueness():
-    """Exactly one transitive transposition class, the distinguished one."""
-    classes, tuple_count = groups.enumerate_homs_to_sym(
-        affine_complement_presentation(), 4)
+def criterion_s4_uniqueness(homs=None):
+    """Exactly one transitive transposition class, the distinguished one.
+    Checks ``homs`` = (classes, tuple_count), or the search into S_4 of the
+    affine complement group when it is None."""
+    if homs is None:
+        homs = groups.enumerate_homs_to_sym(affine_complement_presentation(), 4)
+    classes, tuple_count = homs
     mu = (braids.transposition(4, 1, 2), braids.transposition(4, 2, 3),
           braids.transposition(4, 2, 4), braids.transposition(4, 1, 4))
     ok = len(classes) == 1 and mu in groups.conjugates(next(iter(classes.values())), 4)

@@ -105,8 +105,8 @@ def cmd_discriminant(args):
 
 
 def cmd_cusps(args):
-    passed, witness = checks.criterion_cusp_locations()
     cusps = bidouble.find_cusps()
+    passed, witness = checks.criterion_cusp_locations(cusps)
     results = {"cusps": [
         {"zeta_power": c.zeta_power,
          "u": {"rational_part": c.u[0], "zeta_part": c.u[1]},
@@ -212,13 +212,13 @@ def cmd_vankampen(args):
 def cmd_enumerate_homs(args):
     n = {"s3": 3, "s4": 4}[args.target]
     p = checks.affine_complement_presentation()
-    classes, tuple_count = groups.enumerate_homs_to_sym(p, n)
+    homs = groups.enumerate_homs_to_sym(p, n)
+    classes, tuple_count = homs
     reps = [[braids.cycle_notation(g) for g in rep] for rep in classes.values()]
     results = {"class_count": len(classes), "satisfying_tuples": tuple_count,
                "representatives": reps}
     if args.target == "s4":
-        passed, witness = checks.criterion_s4_uniqueness()
-        check = ("s4_uniqueness", passed, witness)
+        check = ("s4_uniqueness", *checks.criterion_s4_uniqueness(homs))
     else:  # the classes are the conjugation orbits of the tuples
         orbits = sum(math.factorial(n) // groups.centralizer_order(rep, n)
                      for rep in classes.values())

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .braids import artin_action, cyclic_reduce, free_reduce, word_inverse
+from .braids import artin_action, cyclic_reduce, free_reduce, transposition, word_inverse
 from .linalg import invariant_factors, nullspace
 
 OVERFLOW = "overflow"
@@ -423,11 +423,8 @@ def enumerate_homs_to_sym(p, n):
     if n > 6:
         raise ValueError("brute force is meant for n <= 6")
     perms, index, _, _ = _sym_index(n)
-    pool = []
-    for a, b in itertools.combinations(range(n), 2):
-        q = list(range(n))
-        q[a], q[b] = q[b], q[a]
-        pool.append(index[tuple(q)])
+    pool = [index[transposition(n, a, b)]
+            for a, b in itertools.combinations(range(1, n + 1), 2)]
     found = []
     for hom in _search_homs(p, n, pool):
         images = tuple(perms[i] for i in hom)

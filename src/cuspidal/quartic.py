@@ -147,6 +147,7 @@ def implicitize(param):
     return PlaneCurve(res.primitive())
 
 
+@functools.lru_cache(maxsize=None)
 def cuspidal_quartic():
     """C: (x^2 + y^2)^2 + x^3 + 9 x y^2 + 27/4 y^2 = 0, computed from D's dual."""
     dual = dual_parametrization(nodal_cubic_param(), nodal_cubic())
@@ -526,6 +527,7 @@ def _dual_point_at_flex(dual):
     return xs, ysq
 
 
+@functools.lru_cache(maxsize=None)
 def dual_of_dual():
     """Gradient parametrization of C's dual: lands back on the cubic D."""
     param_of_c = dual_parametrization(nodal_cubic_param(), nodal_cubic())

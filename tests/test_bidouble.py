@@ -4,7 +4,7 @@ from fractions import Fraction
 from cuspidal import exactpoly as xp
 from cuspidal.bidouble import (
     BASE_VARS, PHI3, CuspPoint, delta_normal_form,
-    different, discriminant_norm, find_cusps, mat_scale_identity, mat_sub,
+    different, discriminant_norm, find_cusps,
     multiplication_matrices, scaling_identity_residual,
 )
 from cuspidal.mpoly import MPoly, ring
@@ -12,6 +12,15 @@ from cuspidal.mpoly import MPoly, ring
 
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def mat_sub(a, b):
+    return [[a[i][j] - b[i][j] for j in range(4)] for i in range(4)]
+
+
+def mat_scale_identity(c, vars_):
+    zero = MPoly.zero(vars_)
+    return [[c if i == j else zero for j in range(4)] for i in range(4)]
 
 
 def delta_c(c=None):

@@ -73,6 +73,39 @@ def test_reproduce_all_matches_golden(capsys):
     assert out == (FIXTURES / "reproduce_all.json").read_text()
 
 
+@pytest.mark.parametrize("target", ["s4", "s3"])
+def test_enumerate_homs_matches_golden(capsys, target):
+    code, out = run_cli(capsys, "enumerate-homs", "--target", target)
+    assert code == 0
+    assert out == (FIXTURES / f"enumerate_homs_{target}.json").read_text()
+
+
+@pytest.mark.parametrize("constructor", [
+    quartic.cuspidal_quartic, quartic.dual_of_dual,
+    bidouble.discriminant_norm, bidouble.delta_normal_form,
+], ids=lambda f: f.__name__)
+def test_each_exact_constructor_is_computed_once_per_process(constructor):
+    assert constructor() is constructor()
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (("cusps",), bidouble, "find_cusps"),
+    (("enumerate-homs", "--target", "s4"), groups, "enumerate_homs_to_sym"),
+], ids=["cusps", "enumerate-homs"])
+def test_a_subcommand_searches_once(capsys, monkeypatch, argv, module, name):
+    calls = []
+    search = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_critical_values_separate_split_cusp_values_at_a_tiny_shear(capsys):
     code, out = run_cli(capsys, "critical-values", "--shear", "1/100000000000")
     assert code == 0
