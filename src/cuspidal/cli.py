@@ -9,16 +9,52 @@ exception the handler raises is a failed check whose witness is
 Exit codes: 0 when every check in the report passes, 1 when one fails,
 2 on usage errors.  JSON is deterministic for a fixed argv and seed:
 rationals are printed as "p/q" strings, floats with 15 significant digits.
+
+Start-up: importing this module binds every other layer of the package
+lazily, and a layer's code runs on its first attribute access.  So each
+subcommand loads only the layers it runs: `vankampen`, `enumerate-homs`
+and `coset-order` load `groups`, `braids` and `linalg`; `monodromy` loads
+the braid chain down to `roots` and `exactpoly`; `reproduce-all` loads
+all of them (README, "CLI", lists each subcommand's layers).  Under
+PYTHONDONTWRITEBYTECODE=1 each start compiles what it loads.  Importing a
+layer directly, or `cuspidal` itself, stays eager.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import importlib.util
 import json
 import math
 import sys
 from fractions import Fraction
+
+from . import DEFAULT_SHEAR, default_basepoint
+
+# Every layer, not only those this module names: whatever patches a layer's
+# functions after importing this module finds them all in sys.modules.
+_LAYERS = ("bidouble", "braids", "checks", "continuation", "exactpoly", "groups",
+           "linalg", "monodromy", "mpoly", "quartic", "roots", "surface")
+
+
+def _bind_lazily(names):
+    """Put each layer not yet imported in sys.modules and on the package as
+    a module whose code runs on its first attribute access."""
+    package = sys.modules[__package__]
+    for name in names:
+        qualified = f"{__package__}.{name}"
+        if qualified in sys.modules:
+            continue
+        spec = importlib.util.find_spec(qualified)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[qualified] = module
+        setattr(package, name, module)
+        spec.loader.exec_module(module)
+
+
+_bind_lazily(_LAYERS)  # before the import below, which then binds the lazy modules
 
 from . import bidouble, braids, checks, groups, monodromy, quartic, surface
 
@@ -292,9 +328,8 @@ def build_parser():
         "critical values of the sheared projection",
         ("--shear", {"type": _fraction_arg, "default": Fraction(0)}))
     add("monodromy", cmd_monodromy, "braid_monodromy", "braid monodromy factorization",
-        ("--shear", {"type": _fraction_arg, "default": monodromy.DEFAULT_SHEAR}),
-        ("--basepoint", {"type": _finite(float),
-                         "default": monodromy.default_basepoint()}),
+        ("--shear", {"type": _fraction_arg, "default": DEFAULT_SHEAR}),
+        ("--basepoint", {"type": _finite(float), "default": default_basepoint()}),
         out=("json", "text", "svg"))
     add("vankampen", cmd_vankampen, "affine_abelianization",
         "complement group presentation",

@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from . import DEFAULT_SHEAR, default_basepoint
 from .braids import BraidWord, free_reduce
 from .continuation import (StrandPath, check_clearance, continue_roots,
                            end_permutation)
@@ -48,13 +49,7 @@ from .quartic import (CurveError, classify_real_fiber, critical_values,
                       cuspidal_quartic, sheared_curve)
 from .roots import roots_univariate
 
-DEFAULT_SHEAR = Fraction(1, 100)
 MAX_ROTATIONS = 16  # sweep retries, each rotating the fiber plane by pi/17
-
-
-def default_basepoint():
-    """x0 = 3/4 (sqrt 3 - 3), between the tangency and the origin cusp."""
-    return 0.75 * (math.sqrt(3) - 3)
 
 
 class SweepError(RuntimeError):
