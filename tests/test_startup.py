@@ -17,8 +17,7 @@ import textwrap
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "cuspidal"
-LAYERS = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+LAYERS = {p.stem for p in (ROOT / "src" / "cuspidal").glob("*.py")} - {"__init__"}
 
 
 def _fresh(script, *argv):
