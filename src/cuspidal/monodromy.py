@@ -20,6 +20,13 @@ the first half's, conjugated and reversed.  The circle ends on the walk's
 end fiber permuted, and each strand comes back along the walk of the
 strand it ended on, reversed.
 
+The fibers where axis legs start, over the basepoint and over each
+circle's far point, are made exactly symmetric where inclusion disks
+decide which roots are real and which are conjugate pairs
+(``_symmetrized``).  The legs then stay symmetric and take
+``continue_roots``' real route, and the far point's decision is the
+mirror's strand map.
+
 The strand sweep orders the fiber by real part and emits one signed Artin
 letter per transversal exchange of neighbors; a counterclockwise exchange,
 the strand coming from the right passing above, is positive.  Each segment
@@ -28,18 +35,21 @@ interval, in ascending index order.  A loop's letters are its walk's
 groups, then its circle's, then the walk's groups in reverse order with
 every letter negated, freely reduced: the return runs through the walk's
 samples backwards, which has the same swaps with opposite signs.  Ties and
-tangencies are broken by rotating the fiber plane by k pi/17, and all the
-factors of one factorization are read at one rotation: the basepoint fiber
-is ordered by real part in that frame, so factors read in different frames
-need not multiply to one factorization.
+tangencies are broken by rotating the fiber plane by k pi/17, k >= 1 (the
+exact conjugate pairs over the axis share their real parts, so k = 0 is
+degenerate), and all the factors of one factorization are read at one
+rotation: the basepoint fiber is ordered by real part in that frame, so
+factors read in different frames need not multiply to one factorization.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, count, islice
+from operator import ge
 
 from . import DEFAULT_SHEAR, default_basepoint
 from .braids import BraidWord, free_reduce
@@ -47,7 +57,7 @@ from .continuation import (StrandPath, check_clearance, continue_roots,
                            end_permutation)
 from .quartic import (CurveError, classify_real_fiber, critical_values,
                       cuspidal_quartic, sheared_curve)
-from .roots import roots_univariate
+from .roots import conjugate_partners, inclusion_radius, roots_univariate
 
 MAX_ROTATIONS = 16  # sweep retries, each rotating the fiber plane by pi/17
 
@@ -84,7 +94,7 @@ class MonodromyResult:
     basepoint: float
     shear: Fraction
     strand_names: list
-    sweep_rotation: int  # every factor is read in the fiber plane rotated by k pi/17
+    sweep_rotation: int  # every factor is read in the fiber plane rotated by k pi/17, k >= 1
     strand_paths: list = field(default_factory=list)
 
     def exponent_sums(self):
@@ -190,34 +200,47 @@ def braid_from_strand_paths(strands, rotation):
     (inf without one), for ``_loop_word`` to judge against its loop's
     tolerance.  A change of order that is not a transversal exchange of
     neighbors raises _Ambiguous.
+
+    Each strand's rotated real parts rr Re z - ri Im z, the real parts of
+    rotation * z to the bit, are computed once; the order along them is
+    scanned for the first sample at which it stops increasing strictly
+    (the real parts are finite), and rotated imaginary parts are computed
+    only there, to break ties and read the crossings.
     """
-    n = len(strands)
-    steps = zip(*(map(rotation.__mul__, s) for s in strands))
-    prev = next(steps)
-    order = sorted(range(n), key=lambda k: (prev[k].real, prev[k].imag))
-    neighbors = list(zip(order, order[1:]))
+    n, m = len(strands), len(strands[0])
+    rr, ri = rotation.real, rotation.imag
+    reals = [[rr * z.real - ri * z.imag for z in s] for s in strands]
+
+    def keys(i):
+        return [(r[i], rr * s[i].imag + ri * s[i].real) for r, s in zip(reals, strands)]
+
+    order = sorted(range(n), key=keys(0).__getitem__)
     groups, gap = [], math.inf
-    for cur in steps:
-        # strictly increasing real parts along the old order: sorting keeps it
-        if not all(cur[a].real < cur[b].real for a, b in neighbors):
-            keys = [(z.real, z.imag) for z in cur]
-            new_order = sorted(range(n), key=keys.__getitem__)
-            if new_order != order:
-                group = []
-                for i in _decompose_adjacent_swaps(order, new_order):
-                    a, b = order[i], order[i + 1]  # b on the right before the swap
-                    f0 = prev[b].real - prev[a].real
-                    f1 = cur[b].real - cur[a].real
-                    if f0 <= 0 or f1 >= 0:
-                        raise _Ambiguous("non-transversal crossing")
-                    t = f0 / (f0 - f1)
-                    g = (1 - t) * (prev[b].imag - prev[a].imag) + t * (cur[b].imag - cur[a].imag)
-                    gap = min(gap, abs(g))
-                    group.append((i + 1) if g > 0 else -(i + 1))
-                groups.append(tuple(group))
-                order = new_order
-                neighbors = list(zip(order, order[1:]))
-        prev = cur
+    i = 1
+    while i < m:
+        # the first sample from i at which neighbors along order do not increase
+        i = min((next(compress(count(i), map(ge, islice(reals[a], i, None),
+                                             islice(reals[b], i, None))), m)
+                 for a, b in zip(order, order[1:])), default=m)
+        if i == m:
+            break
+        prev, cur = keys(i - 1), keys(i)
+        new_order = sorted(range(n), key=cur.__getitem__)
+        if new_order != order:
+            group = []
+            for j in _decompose_adjacent_swaps(order, new_order):
+                a, b = order[j], order[j + 1]  # b on the right before the swap
+                f0 = prev[b][0] - prev[a][0]
+                f1 = cur[b][0] - cur[a][0]
+                if f0 <= 0 or f1 >= 0:
+                    raise _Ambiguous("non-transversal crossing")
+                t = f0 / (f0 - f1)
+                g = (1 - t) * (prev[b][1] - prev[a][1]) + t * (cur[b][1] - cur[a][1])
+                gap = min(gap, abs(g))
+                group.append((j + 1) if g > 0 else -(j + 1))
+            groups.append(tuple(group))
+            order = new_order
+        i += 1
     return groups, gap
 
 
@@ -246,12 +269,14 @@ def _loop_word(loop, rotation, readings):
 
 
 def _one_frame(loops):
-    """(words, k): every tracked loop read at the first rotation k pi/17 at
-    which all of them sweep cleanly.  At each k the loops are read in turn
-    and the first ambiguous one moves on to k + 1; ambiguity up to
-    k = MAX_ROTATIONS is a hard error."""
+    """(words, k): every tracked loop read at the first rotation k pi/17,
+    k >= 1, at which all of them sweep cleanly.  k = 0 is never tried: the
+    curve is real and each conjugate pair over the real axis shares its
+    real part exactly, so the unrotated frame is degenerate.  At each k the
+    loops are read in turn and the first ambiguous one moves on to k + 1;
+    ambiguity up to k = MAX_ROTATIONS is a hard error."""
     last = None
-    for k in range(MAX_ROTATIONS + 1):
+    for k in range(1, MAX_ROTATIONS + 1):
         rotation, readings = cmath.exp(1j * math.pi * k / 17), {}
         try:
             return [_loop_word(loop, rotation, readings) for loop in loops], k
@@ -268,8 +293,10 @@ def fiber_evaluator(sheared, center):
     function evaluates it by Horner in x - center.  Near the center, where
     a loop circles its critical value, the fiber is then accurate to a few
     ulps of the Taylor coefficients instead of carrying the cancellation of
-    an expansion around 0.  Raises OverflowError, naming the center, when a
-    Taylor coefficient leaves double precision.
+    an expansion around 0.  Over a real float x the coefficients are
+    floats, ``==`` to their values at complex(x) and cheaper.  Raises
+    OverflowError, naming the center, when a Taylor coefficient leaves
+    double precision.
     """
     c = Fraction(center)
     tables = []
@@ -283,7 +310,7 @@ def fiber_evaluator(sheared, center):
         except OverflowError:
             raise OverflowError(f"fiber Taylor coefficients at center x = {center} "
                                 "overflow double precision") from None
-        tables.append((complex(lead), rest))  # Horner starts at the leading term
+        tables.append((lead, rest))  # Horner starts at the leading term
     c = float(c)
 
     def fiber(x):
@@ -299,16 +326,17 @@ def fiber_evaluator(sheared, center):
 
 
 def _start_roots(sheared, basepoint):
-    """Simple fiber roots over the real basepoint, sorted by (real, imag).
+    """Simple fiber roots over the real basepoint, sorted by (real, imag),
+    as exactly symmetric positions.
 
     The radii certify the curve's own fiber at the exact basepoint, whose
     coefficients Aberth sees rounded once, as ``fiber_evaluator`` gives
-    them there.  The fiber polynomial is real, so its non-real roots come
-    in conjugate pairs; each pair gets one shared real part, so that within
-    a pair the root with negative imaginary part always comes first instead
-    of whichever one rounding put an ulp further left.  Raises
-    OverflowError, naming the basepoint, when a coefficient leaves double
-    precision.
+    them there.  The fiber polynomial is real, and ``_symmetrized`` makes
+    the roots exactly symmetric where their disks decide which are real and
+    which are conjugate pairs: then within a pair the root with negative
+    imaginary part always comes first, and the axis legs from the
+    basepoint take ``continue_roots``' real route.  Raises OverflowError,
+    naming the basepoint, when a coefficient leaves double precision.
     """
     x = {"x": Fraction(basepoint)}
     try:
@@ -316,15 +344,21 @@ def _start_roots(sheared, basepoint):
     except OverflowError:
         raise OverflowError(f"fiber coefficients at x = {basepoint} "
                             "overflow double precision") from None
-    values = [r.value for r in roots]
-    out = []
-    for r in roots:
-        z = r.value
-        partner = min(values, key=lambda w: abs(w - z.conjugate()))
-        if partner != z:
-            z = complex((z.real + partner.real) / 2, z.imag)
-        out.append(replace(r, value=z))
-    return sorted(out, key=lambda r: (r.value.real, r.value.imag))
+    values = _symmetrized([r.value for r in roots], [r.radius for r in roots])[0]
+    return sorted(values, key=lambda z: (z.real, z.imag))
+
+
+def _symmetrized(values, radii):
+    """(positions, partners) for the roots of a real fiber at values with
+    inclusion radii radii: where ``roots.conjugate_partners`` decides the
+    conjugation, each root moves to the mean of itself and its partner's
+    conjugate, so a real root to its real part and a pair to exact
+    conjugates; otherwise the positions stay and partners is None."""
+    partners = conjugate_partners(values, radii)
+    if partners is None:
+        return list(values), None
+    return [complex((z.real + values[j].real) / 2, (z.imag - values[j].imag) / 2)
+            for z, j in zip(values, partners)], partners
 
 
 def _check_mirror(circle):
@@ -386,12 +420,20 @@ def _track_side(sheared, loops, start, targets, clearance):
     walk tracked so far, and the leg and the first half of the loop's
     circle are one ``continue_roots`` call each, with the fiber centred at
     the loop's target; the first half also continues the walk to the next
-    target.  The second half is not tracked.  The curve is real, so the
-    fiber over conj(x) is the conjugate of the fiber over x, exactly in
-    floats too (``fiber_evaluator``'s tables are real): strand k goes on
-    from the far point along the conjugate of the first half of strand j,
-    reversed, where j is the strand whose conjugate ends where strand k
-    does.  A circle that is not its own mirror image raises SweepError.
+    target.  A leg is real, so it is evaluated in floats and, from an
+    exactly symmetric start, takes ``continue_roots``' real route.  The
+    second half is not tracked.  The curve is real, so the fiber over
+    conj(x) is the conjugate of the fiber over x, exactly in floats too
+    (``fiber_evaluator``'s tables are real): strand k goes on from the far
+    point along the conjugate of the first half of strand j, reversed,
+    where j is the strand whose conjugate ends where strand k does.  The
+    first half's last samples are made exactly symmetric there
+    (``_symmetrized``, with the inclusion radii of the fiber over the far
+    point), and the decided partners are j; an undecided far fiber keeps
+    its samples and is mirrored by nearest-disk matching
+    (``end_permutation``).  The symmetric samples end the first half and
+    start both the second half and the next leg.  A circle that is not its
+    own mirror image raises SweepError.
     Each leg and first half is checked for clearance once, against every
     critical value but the loop's target; the targets are real, so the
     mirror has the same clearance.  Strand k walks out, circles, and comes
@@ -408,12 +450,19 @@ def _track_side(sheared, loops, start, targets, clearance):
         check_clearance(leg + loop.circle[1:half + 1],
                         [t for t in targets if t != loop.target], clearance)
         fiber = fiber_evaluator(sheared, loop.target.real)
+        leg = [x.real for x in leg]  # a real path: the fiber in floats
         walk = walk + [_Segment([p.samples for p in continue_roots(fiber, leg, ends)])]
         ends = [s[-1] for s in walk[-1].strands]
         out = continue_roots(fiber, loop.circle[:half + 1], ends)
         # the fiber over the real far point is its own conjugate: strand k
         # sits where strand j's conjugate ends, and goes on along it reversed
-        mirror = end_permutation(out, [p.samples[-1].conjugate() for p in out])
+        far = [p.samples[-1] for p in out]
+        coeffs = fiber(loop.circle[half].real)
+        far, mirror = _symmetrized(far, [inclusion_radius(coeffs, z) for z in far])
+        if mirror is None:
+            mirror = end_permutation(out, [z.conjugate() for z in far])
+        for p, z in zip(out, far):
+            p.samples[-1] = z
         back = [StrandPath(k, [z.conjugate() for z in out[j].samples[::-1]])
                 for k, j in enumerate(mirror)]
         # loudly validates that the circle closed on the walk's end fiber
@@ -428,9 +477,9 @@ def _track_side(sheared, loops, start, targets, clearance):
     return out_loops
 
 
-def _strand_names(curve, basepoint, start_roots):
+def _strand_names(curve, basepoint, start):
     """Match the basepoint fiber against the unsheared curve's A/B labels."""
-    fallback = [f"s{k + 1}" for k in range(len(start_roots))]
+    fallback = [f"s{k + 1}" for k in range(len(start))]
     try:
         labels = classify_real_fiber(curve, basepoint).labels
     except (CurveError, OverflowError):
@@ -438,8 +487,8 @@ def _strand_names(curve, basepoint, start_roots):
     if not labels:  # complex quadruple: no real structure to name by
         return fallback
     names = []
-    for r in start_roots:
-        best = min(labels.items(), key=lambda kv: abs(kv[1] - r.value))
+    for z in start:
+        best = min(labels.items(), key=lambda kv: abs(kv[1] - z))
         names.append(best[0])
     return names if len(set(names)) == len(names) else fallback
 
@@ -454,18 +503,18 @@ def monodromy_factorization(curve=None, basepoint=None, shear=DEFAULT_SHEAR,
     quartic with a small shear and the default basepoint that is the two
     split cusp values near -9/8, then the tangency near -1, then the origin
     cusp.  All factors are read in one sweep frame, the fiber plane rotated
-    by sweep_rotation * pi/17: the smallest k at which every loop reads
-    cleanly.
+    by sweep_rotation * pi/17: the smallest k >= 1 at which every loop
+    reads cleanly.  The curve is sheared once, and its critical values are
+    those of the sheared curve.
     """
     curve = curve or cuspidal_quartic()
     basepoint = default_basepoint() if basepoint is None else float(basepoint)
     shear = Fraction(shear)
-    criticals = critical_values(curve, shear)
-    loops, radius = build_loops(criticals, basepoint, circle_steps=circle_steps)
     sheared = sheared_curve(curve, shear)
-    start_roots = _start_roots(sheared, basepoint)
-    names = _strand_names(curve, basepoint, start_roots)
-    start = [r.value for r in start_roots]
+    criticals = critical_values(sheared)
+    loops, radius = build_loops(criticals, basepoint, circle_steps=circle_steps)
+    start = _start_roots(sheared, basepoint)
+    names = _strand_names(curve, basepoint, start)
     targets = [loop.target for loop in loops]
     clearance = 0.9 * min(radius, 1.0)
     left = [loop for loop in loops if loop.target.real < basepoint]
@@ -473,7 +522,7 @@ def monodromy_factorization(curve=None, basepoint=None, shear=DEFAULT_SHEAR,
                + _track_side(sheared, loops[len(left):], start, targets, clearance))
     factors, rotation = _one_frame(tracked)
     return MonodromyResult(
-        n_strands=len(start_roots), factors=factors, loops=loops,
+        n_strands=len(start), factors=factors, loops=loops,
         basepoint=basepoint, shear=shear, strand_names=names, sweep_rotation=rotation,
         strand_paths=[_closed_paths(t) for t in tracked] if keep_paths else [])
 

@@ -376,9 +376,12 @@ def critical_values(curve, shear=Fraction(0)):
     factor's roots come from ``_factor_roots``.  Roots of different Yun
     factors are distinct, and so are the roots of one squarefree factor, so
     every value is listed once with its own order, sorted by (real, imag).
-    Two values that round to one float raise RootFindingError.
+    Two values that round to one float raise RootFindingError.  At shear 0
+    the curve is taken as it is, so a caller that sheared it already passes
+    the sheared curve.
     """
-    disc = discriminant_poly(sheared_curve(curve, shear)).univariate_coeffs("x")
+    disc = discriminant_poly(sheared_curve(curve, shear) if shear else curve)
+    disc = disc.univariate_coeffs("x")
     out = sorted(((v, m) for f, m in xp.squarefree_decomposition(disc) for v in _factor_roots(f)),
                  key=lambda s: (s[0].real, s[0].imag))
     for (a, _), (b, _) in zip(out, out[1:]):

@@ -216,3 +216,35 @@ def horner_radius(n, horner):
     while (r := radius.as_integer_ratio())[0] ** 2 * den < num * r[1] ** 2:
         radius = math.nextafter(radius, math.inf)
     return radius
+
+
+def conjugate_partners(values, radii):
+    """How conjugation permutes the simple roots of a real polynomial of
+    degree len(values), decided by their inclusion disks D_k about
+    values[k] with radius radii[k]: partners[k] = k for a real root and the
+    index of its conjugate otherwise, or None when this is not decided.
+
+    The disks must be pairwise disjoint, so each holds exactly one root,
+    and conj(D_k) holds the conjugate of D_k's root.  So root k is real
+    when conj(D_k) meets no other disk, and a root whose disk misses the
+    axis is the conjugate of the root of the one disk that conj(D_k)
+    meets.  Disks count as apart only with a relative margin of 1e-12 over
+    the rounding of the test.
+    """
+    disks = list(zip(values, radii))
+
+    def apart(z, r, w, s):
+        return abs(z - w) > (r + s) * (1 + 1e-12)
+
+    if any(not apart(z, r, w, s) for i, (z, r) in enumerate(disks) for w, s in disks[i + 1:]):
+        return None
+    partners = []
+    for k, (z, r) in enumerate(disks):
+        meets = [j for j, (w, s) in enumerate(disks) if not apart(z.conjugate(), r, w, s)]
+        if meets == [k]:
+            partners.append(k)
+        elif len(meets) == 1 and abs(z.imag) > r * (1 + 1e-12):
+            partners.append(meets[0])
+        else:
+            return None
+    return partners

@@ -49,6 +49,14 @@ def test_monodromy_right_of_every_critical_value_matches_golden(capsys):
     assert out == (FIXTURES / "monodromy_right_of_all.json").read_text()
 
 
+def test_monodromy_left_of_every_critical_value_matches_golden(capsys):
+    # the first leg has two conjugate pairs over it, and every circle goes
+    # through its lower half first, its upper half read as the mirror image
+    code, out = run_cli(capsys, "monodromy", "--shear", "1/10", "--basepoint", "-1.2225")
+    assert code == 0
+    assert out == (FIXTURES / "monodromy_left_of_all.json").read_text()
+
+
 def test_discriminant_matches_golden(capsys):
     code, out = run_cli(capsys, "discriminant")
     assert code == 0

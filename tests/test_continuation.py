@@ -202,7 +202,7 @@ def test_split_cusp_walk_matches_the_halving_reference():
     sheared = sheared_curve(cuspidal_quartic(), shear)
     loops, _ = build_loops(critical_values(cuspidal_quartic(), shear), basepoint)
     split = loops[0]  # the split cusp farthest left, past the two others
-    start = [r.value for r in _start_roots(sheared, basepoint)]
+    start = _start_roots(sheared, basepoint)
     paths = _assert_same_samples(fiber_evaluator(sheared, split.target.real),
                                  split.walk + split.circle, start)
     assert len(paths[0].samples) > 1000
@@ -257,3 +257,88 @@ def test_rounding_floor_path_matches_the_halving_reference(monkeypatch, degree):
     monkeypatch.setattr(continuation, "_at_rounding_floor", recorded)
     _assert_same_samples(fiber, [0.0, 1e-6, 3e-6j, 4e-6 + 1e-6j], [w + d, w - d] + others)
     assert any(verdicts)
+
+
+def _real_fiber(reals, pairs):
+    """x -> ascending float coefficients of the real polynomial with real
+    roots a + b x for (a, b) in reals and conjugate pairs c + d x ± i(e + f x)
+    for (c, d, e, f) in pairs, multiplied out in float arithmetic."""
+    def fiber(x):
+        coeffs = [1.0]
+        factors = ([[-(a + b * x), 1.0] for a, b in reals]
+                   + [[(c + d * x) ** 2 + (e + f * x) ** 2, -2 * (c + d * x), 1.0]
+                      for c, d, e, f in pairs])
+        for factor in factors:
+            out = [0.0] * (len(coeffs) + len(factor) - 1)
+            for i, a in enumerate(coeffs):
+                for j, b in enumerate(factor):
+                    out[i + j] += a * b
+            coeffs = out
+        return coeffs
+    return fiber
+
+
+def _symmetric_start(reals, pairs, x):
+    """The roots of ``_real_fiber(reals, pairs)`` over x, exactly symmetric:
+    real roots as floats with imaginary part 0, pairs as exact conjugates."""
+    start = [complex(a + b * x) for a, b in reals]
+    for c, d, e, f in pairs:
+        z = complex(c + d * x, e + f * x)
+        start += [z, z.conjugate()]
+    return start
+
+
+@st.composite
+def real_fibers(draw):
+    """(reals, pairs, path): a real quartic or quintic fiber whose roots
+    move linearly with x, stay simple over x in [-1, 1], and a real path
+    there."""
+    degree = draw(st.sampled_from([4, 5]))
+    n_pairs = draw(st.integers(0, 2))
+    drift = st.floats(-0.1, 0.1)
+    reals = [(a, draw(drift)) for a in
+             draw(st.lists(st.integers(-12, 12), min_size=degree - 2 * n_pairs,
+                           max_size=degree - 2 * n_pairs, unique=True))]
+    reals = [(a / 4, b) for a, b in reals]  # a quarter apart, drifting 0.1 at most
+    pairs = [(c / 4, draw(drift), e, draw(drift)) for c, e in
+             zip(draw(st.lists(st.integers(-12, 12), min_size=n_pairs, max_size=n_pairs,
+                               unique=True)),
+                 draw(st.lists(st.floats(0.3, 2.0), min_size=n_pairs, max_size=n_pairs)))]
+    path = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=5))
+    return reals, pairs, path
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_fibers())
+def test_real_route_matches_the_halving_reference(inputs):
+    reals, pairs, path = inputs
+    fiber = _real_fiber(reals, pairs)
+    start = _symmetric_start(reals, pairs, path[0])
+    assert continuation._real_mates(path, start) is not None
+    got = _assert_same_samples(fiber, path, start)
+    # the real route's real strands are floats; each pair stays conjugate
+    for p in got[:len(reals)]:
+        assert all(isinstance(z, float) for z in p.samples)
+    for k in range(len(reals), len(start), 2):
+        assert got[k + 1].samples == [z.conjugate() for z in got[k].samples]
+
+
+def test_a_start_that_is_not_exactly_symmetric_takes_the_general_route():
+    reals, pairs = [(-0.5, 0.05), (0.75, -0.02)], [(0.25, 0.01, 0.8, 0.05)]
+    fiber, path = _real_fiber(reals, pairs), [0.0, 0.6, -0.3]
+    start = _symmetric_start(reals, pairs, 0.0)
+    assert continuation._real_mates(path, start) == [0, 1, 3, 2]
+    almost = [start[0] + 1e-300j] + start[1:]  # a real strand an ulp off the axis
+    lopsided = start[:3] + [start[3] + 1e-16]  # a pair conjugate only up to rounding
+    for initial in (almost, lopsided):
+        assert continuation._real_mates(path, initial) is None
+        got = _assert_same_samples(fiber, path, initial)
+        assert all(isinstance(z, complex) for p in got for z in p.samples)
+    # a waypoint off the axis, or a fiber with a non-real coefficient
+    assert continuation._real_mates([0.0, 0.6 + 1e-9j], start) is None
+
+    def tilted(x):
+        return [c + (1e-12j if x > 0.3 else 0) for c in fiber(x)]
+
+    got = _assert_same_samples(tilted, path, start)
+    assert all(isinstance(z, complex) for p in got for z in p.samples)

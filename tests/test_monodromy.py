@@ -17,13 +17,13 @@ from cuspidal.groups import (
     abelianization, add_projective_relation, todd_coxeter, van_kampen,
 )
 from cuspidal.monodromy import (
-    DEFAULT_SHEAR, MAX_ROTATIONS, SweepError, _Ambiguous, _start_roots,
-    braid_from_strand_paths, build_loops, default_basepoint, fiber_evaluator,
-    monodromy_factorization, strand_paths_svg,
+    DEFAULT_SHEAR, MAX_ROTATIONS, SweepError, _Ambiguous, _decompose_adjacent_swaps,
+    _start_roots, _symmetrized, braid_from_strand_paths, build_loops, default_basepoint,
+    fiber_evaluator, monodromy_factorization, strand_paths_svg,
 )
 from cuspidal.mpoly import MPoly
 from cuspidal.quartic import critical_values, cuspidal_quartic, sheared_curve
-from cuspidal.roots import _eval_error_bound
+from cuspidal.roots import _eval_error_bound, inclusion_radius
 
 import functools
 
@@ -53,8 +53,8 @@ def read_family(paths, first_rotation=0):
 
 def read_families_in_one_frame(families):
     """(words, k): every family read by ``read_family`` at the first
-    rotation k at which all of them sweep cleanly."""
-    k, words = 0, {}
+    rotation k >= 1 at which all of them sweep cleanly."""
+    k, words = 1, {}
     while len(words) < len(families):
         i = next(j for j in range(len(families)) if j not in words)
         word, clean = read_family(families[i], k)
@@ -217,7 +217,7 @@ def test_group_fingerprints_from_numeric_factorization():
 def connecting_braid(curve, from_basepoint, via):
     """Braid of dragging the basepoint along the waypoints via."""
     sheared = sheared_curve(curve, DEFAULT_SHEAR)
-    start = [r.value for r in _start_roots(sheared, from_basepoint)]
+    start = _start_roots(sheared, from_basepoint)
     paths = continue_roots(fiber_evaluator(sheared, from_basepoint), via, initial=start)
     return read_family(paths)[0]
 
@@ -288,7 +288,7 @@ def test_fiber_over_the_conjugate_is_the_exact_conjugate(shear, center, re, im):
 def test_continuation_along_the_conjugate_path_gives_the_conjugate_samples():
     # the mirror that _track_side reads a circle's second half from
     sheared = sheared_curve(cuspidal_quartic(), DEFAULT_SHEAR)
-    start = [r.value for r in _start_roots(sheared, default_basepoint())]
+    start = _start_roots(sheared, default_basepoint())
     for loop in factorization().loops:
         fiber = fiber_evaluator(sheared, loop.target.real)
         path = loop.walk + loop.circle[1:len(loop.circle) // 2 + 1]
@@ -299,9 +299,31 @@ def test_continuation_along_the_conjugate_path_gives_the_conjugate_samples():
             p.samples for p in mirrored]
 
 
+@pytest.mark.parametrize("shear, basepoint", [
+    (DEFAULT_SHEAR, default_basepoint()),  # two real roots and a pair
+    (Fraction(1, 679), 0.34010940278577345),  # two pairs
+    (Fraction(1, 10), -1.05),  # four real roots
+    (Fraction(1, 10), -1.2225),  # left of every critical value
+])
+def test_start_roots_are_real_or_exact_conjugate_pairs(shear, basepoint):
+    roots = _start_roots(sheared_curve(cuspidal_quartic(), shear), basepoint)
+    for z in roots:
+        assert z.imag == 0 or [w for w in roots if w == z.conjugate()] == [z.conjugate()]
+    assert roots == sorted(roots, key=lambda z: (z.real, z.imag))
+
+
+def test_an_undecided_fiber_keeps_its_positions():
+    # the near-real cluster 0.7 +- 1e-12 i of a float quartic: its inclusion
+    # disks overlap, so neither a real root nor a pair is made of it
+    coeffs = [-1.3377, 3.43, -1.12, -2.2, 1.0]  # (y - 0.7)^2 (y + 1.3) (y - 2.1)
+    values = [complex(0.7, 1e-12), complex(0.7, -1e-12), -1.3 + 1e-17j, 2.1 + 0j]
+    radii = [inclusion_radius(coeffs, z) for z in values]
+    assert _symmetrized(values, radii) == (values, None)
+
+
 def test_start_roots_share_real_parts_within_conjugate_pairs():
     sheared = sheared_curve(cuspidal_quartic(), Fraction(1, 679))
-    roots = [r.value for r in _start_roots(sheared, 0.34010940278577345)]
+    roots = _start_roots(sheared, 0.34010940278577345)
     assert all(abs(z.imag) > 0 for z in roots)  # two conjugate pairs
     for lower, upper in (roots[:2], roots[2:]):
         assert lower.real == upper.real
@@ -324,11 +346,11 @@ def test_words_near_the_split_cusps_are_stable(shear, basepoint, steps):
 
 def _assert_one_sweep_frame(result):
     """Every factor is the word of its loop read at result.sweep_rotation,
-    and no smaller rotation reads every loop cleanly."""
+    and no smaller rotation k >= 1 reads every loop cleanly."""
     k = result.sweep_rotation
     for factor, paths in zip(result.factors, result.strand_paths, strict=True):
         assert read_family(paths, k) == (factor, k)
-    for j in range(k):
+    for j in range(1, k):
         assert any(read_family(paths, j)[1] != j for paths in result.strand_paths)
 
 
@@ -374,16 +396,17 @@ def test_default_factorization_is_read_in_one_sweep_frame():
 
 
 # At shear 1/15 with 24 circle steps, between the nearer split cusp value
-# and the tangency, the loop around the nearer split cusp value sweeps
-# cleanly at rotation 0, the others only at pi/17; all four are read at
-# pi/17, since factors read each in their own frame need not multiply to a
-# factorization.
+# and the tangency, the loop around the nearer split cusp value swept
+# cleanly at rotation 0 while its start pairs were conjugate only up to
+# rounding, the others only at pi/17.  With exactly conjugate pairs over the
+# axis the unrotated frame is degenerate for every loop, so the frame starts
+# at pi/17, and all four are read there.
 def test_mixed_frame_input_is_read_in_one_frame():
     result = monodromy_factorization(basepoint=-1.0496992563989496, shear=Fraction(1, 15),
                                      circle_steps=24, keep_paths=True)
     _assert_one_sweep_frame(result)
     assert result.sweep_rotation == 1
-    assert read_family(result.strand_paths[1])[1] == 0
+    assert all(read_family(paths)[1] > 0 for paths in result.strand_paths)
     assert [list(f.letters) for f in result.factors] == [
         [3, 3, 1, 1, 1, -3, -3], [3, 3, 3], [2], [2, 3, 1, 2, 2, 2, -1, -3, -2]]
     perms = [permutation_image(f) for f in result.factors]
@@ -410,7 +433,7 @@ def _factors_with_a_tracked_return(shear, basepoint, circle_steps):
     curve = cuspidal_quartic()
     sheared = sheared_curve(curve, shear)
     loops, _ = build_loops(critical_values(curve, shear), basepoint, circle_steps)
-    start = [r.value for r in _start_roots(sheared, basepoint)]
+    start = _start_roots(sheared, basepoint)
     families = [continue_roots(fiber_evaluator(sheared, loop.target.real),
                                loop.walk + loop.circle[1:] + loop.walk[::-1], start)
                 for loop in loops]
@@ -504,3 +527,121 @@ def test_one_global_conjugator_gives_the_paper_factors(shear):
     paper = checks.fixture_monodromy_factors()
     for computed, expected in zip(result.factors, paper, strict=True):
         assert braid_equal(w * computed * w.inverse(), expected)
+
+
+def reference_braid_from_strand_paths(strands, rotation):
+    """The sweep on whole rotated samples: each sample of each strand is
+    multiplied by rotation, and the order is tested along every neighbor
+    pair at every sample."""
+    n = len(strands)
+    steps = zip(*(map(rotation.__mul__, s) for s in strands))
+    prev = next(steps)
+    order = sorted(range(n), key=lambda k: (prev[k].real, prev[k].imag))
+    neighbors = list(zip(order, order[1:]))
+    groups, gap = [], math.inf
+    for cur in steps:
+        if not all(cur[a].real < cur[b].real for a, b in neighbors):
+            keys = [(z.real, z.imag) for z in cur]
+            new_order = sorted(range(n), key=keys.__getitem__)
+            if new_order != order:
+                group = []
+                for i in _decompose_adjacent_swaps(order, new_order):
+                    a, b = order[i], order[i + 1]
+                    f0 = prev[b].real - prev[a].real
+                    f1 = cur[b].real - cur[a].real
+                    if f0 <= 0 or f1 >= 0:
+                        raise _Ambiguous("non-transversal crossing")
+                    t = f0 / (f0 - f1)
+                    g = (1 - t) * (prev[b].imag - prev[a].imag) + t * (cur[b].imag - cur[a].imag)
+                    gap = min(gap, abs(g))
+                    group.append((i + 1) if g > 0 else -(i + 1))
+                groups.append(tuple(group))
+                order = new_order
+                neighbors = list(zip(order, order[1:]))
+        prev = cur
+    return groups, gap
+
+
+def _sweep_outcome(sweep, strands, rotation):
+    try:
+        return sweep(strands, rotation)
+    except _Ambiguous as exc:
+        return str(exc)
+
+
+# coarse grid positions tie often, in real parts and in whole samples;
+# floats cross transversally
+_positions = st.one_of(
+    st.builds(complex, st.integers(-3, 3).map(lambda a: a / 4),
+              st.integers(-3, 3).map(lambda a: a / 4)),
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 5), samples=st.integers(1, 30), data=st.data(),
+       k=st.integers(0, MAX_ROTATIONS))
+def test_sweep_by_rotated_real_parts_matches_the_whole_sample_sweep(n, samples, data, k):
+    strands = [data.draw(st.lists(_positions, min_size=samples, max_size=samples))
+               for _ in range(n)]
+    rotation = cmath.exp(1j * math.pi * k / 17)
+    assert (_sweep_outcome(braid_from_strand_paths, strands, rotation)
+            == _sweep_outcome(reference_braid_from_strand_paths, strands, rotation))
+
+
+def test_tracked_segments_sweep_as_the_whole_sample_sweep():
+    for paths in factorization().strand_paths:
+        strands = [p.samples for p in paths]
+        for k in range(MAX_ROTATIONS + 1):
+            rotation = cmath.exp(1j * math.pi * k / 17)
+            assert (_sweep_outcome(braid_from_strand_paths, strands, rotation)
+                    == _sweep_outcome(reference_braid_from_strand_paths, strands, rotation))
+
+
+def _tracked_loops(monkeypatch, **kwargs):
+    """The ``_TrackedLoop``s that one factorization reads its words from."""
+    seen = []
+
+    def recorded(loops):
+        seen.extend(loops)
+        return one_frame(loops)
+
+    one_frame = monodromy._one_frame
+    monkeypatch.setattr(monodromy, "_one_frame", recorded)
+    monodromy_factorization(**kwargs)
+    return seen
+
+
+@pytest.mark.parametrize("shear, basepoint", [
+    (DEFAULT_SHEAR, default_basepoint()), (Fraction(1, 1000), 0.5), (Fraction(1, 10), -1.2225),
+])
+def test_a_mirrored_half_starts_on_the_first_halfs_last_sample(monkeypatch, shear, basepoint):
+    for loop in _tracked_loops(monkeypatch, shear=shear, basepoint=basepoint):
+        first, second = loop.circle
+        far = [s[-1] for s in first.strands]
+        assert [s[0] for s in second.strands] == far
+        # the far fiber is exactly symmetric, and strand k goes on along the
+        # conjugate of the strand whose far sample is its own conjugate
+        mirror = [far.index(z.conjugate()) for z in far]
+        for k, j in enumerate(mirror):
+            assert far[j] == far[k].conjugate()
+            assert second.strands[k][1] == first.strands[j][-2].conjugate()
+        # the next leg of the walk tree starts on the same junction samples
+        assert [s[-1] for s in loop.walk[-1].strands] == [s[0] for s in first.strands]
+
+
+def test_a_factorization_shears_its_curve_once(monkeypatch):
+    from cuspidal import quartic
+    calls = []
+
+    def counted(curve, shear):
+        calls.append(shear)
+        return sheared(curve, shear)
+
+    sheared = quartic.sheared_curve
+    monkeypatch.setattr(quartic, "sheared_curve", counted)
+    monkeypatch.setattr(monodromy, "sheared_curve", counted)
+    result = monodromy_factorization(shear=Fraction(1, 37))
+    assert calls == [Fraction(1, 37)]
+    assert [loop.target for loop in result.loops] == [
+        v for v, _ in critical_values(cuspidal_quartic(), Fraction(1, 37))]

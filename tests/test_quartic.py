@@ -402,6 +402,13 @@ def test_critical_values_sheared():
     assert len(near_cusp_pair) == 2
 
 
+@pytest.mark.parametrize("shear", [Fraction(1, 10), Fraction(1, 100), Fraction(-2, 7)])
+def test_critical_values_of_the_sheared_curve_at_shear_0(shear):
+    # what a factorization passes: the curve it has sheared once already
+    assert (critical_values(sheared_curve(cuspidal_quartic(), shear))
+            == critical_values(cuspidal_quartic(), shear))
+
+
 def test_critical_values_keep_a_split_cusp_pair_closer_than_1e_6():
     # the split cusp values -9/8 -+ (3 sqrt 3 / 8) shear are 4.3e-7 apart:
     # two values of order 3, not one of order 6

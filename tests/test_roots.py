@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cuspidal.roots import (
-    RootFindingError, _eval_error_bound, inclusion_radius, roots_univariate,
+    RootFindingError, _eval_error_bound, conjugate_partners, inclusion_radius,
+    roots_univariate,
 )
 
 
@@ -125,3 +126,50 @@ def test_the_inclusion_radius_is_infinite_where_the_derivative_vanishes(a, c, re
     p = _from_roots([a, a] + rest[:4], 1)
     p[0] += c
     assert inclusion_radius(p, a) == math.inf
+
+
+def _real_quartic(quadratic, a, b):
+    """Ascending exact coefficients of quadratic(y) (y - a)(y - b)."""
+    linear = [a * b, -(a + b), 1]
+    out = [Fraction(0)] * 5
+    for i, c in enumerate(quadratic):
+        for j, d in enumerate(linear):
+            out[i + j] += Fraction(c) * Fraction(d)
+    return out
+
+
+def test_conjugate_partners_decides_a_separated_real_fiber():
+    # roots 0.7 +- 0.3i, -1.3 and 2.1
+    coeffs = _real_quartic([Fraction(58, 100), Fraction(-14, 10), 1],
+                           Fraction(-13, 10), Fraction(21, 10))
+    values = [r.value for r in roots_univariate(coeffs)]
+    radii = [inclusion_radius(coeffs, z) for z in values]
+    partners = conjugate_partners(values, radii)
+    by_value = dict(zip(values, partners))
+    for z, j in by_value.items():
+        if abs(z.imag) < 1e-9:
+            assert values[j] == z  # real
+        else:
+            assert abs(values[j] - z.conjugate()) < 1e-12  # its conjugate
+    assert sorted(partners) == [0, 1, 2, 3]
+
+
+def test_conjugate_partners_refuses_a_near_real_cluster():
+    # roots w +- 1e-12 i with w = 0.7, -1.3 and 2.1, with the coefficients
+    # rounded to floats as a tracked fiber has them: there the cluster is
+    # not resolved, its inclusion disks overlap, and it is neither merged
+    # into one real root nor paired
+    w, d = Fraction(7, 10), Fraction(1, 10 ** 12)
+    coeffs = [float(c) for c in _real_quartic([w * w + d * d, -2 * w, 1],
+                                              Fraction(-13, 10), Fraction(21, 10))]
+    values = [complex(0.7, 1e-12), complex(0.7, -1e-12), -1.3 + 0j, 2.1 + 0j]
+    radii = [inclusion_radius(coeffs, z) for z in values]
+    assert radii[0] > 1e-6 and radii[1] > 1e-6
+    assert conjugate_partners(values, radii) is None
+    # trusted as disks of radius 1e-13, the same centers are a decided pair
+    assert conjugate_partners(values, [1e-13] * 2 + radii[2:]) == [1, 0, 2, 3]
+    # a disk that meets the axis and the conjugate of another is not decided
+    assert conjugate_partners([0.5 + 1e-3j, 0.5 - 0.5j, 0.5 + 0.5j],
+                              [2e-3, 0.1, 0.1]) == [0, 2, 1]
+    assert conjugate_partners([0.5 + 0.4j, 0.5 - 0.5j, 0.5 + 0.6j],
+                              [0.45, 0.01, 0.01]) is None
