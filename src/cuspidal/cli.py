@@ -56,7 +56,7 @@ def _bind_lazily(names):
 
 _bind_lazily(_LAYERS)  # before the import below, which then binds the lazy modules
 
-from . import bidouble, braids, checks, groups, monodromy, quartic, surface
+from . import bidouble, braids, checks, groups, monodromy, quartic, roots, surface
 
 
 def _round15(x):
@@ -168,31 +168,32 @@ def cmd_curve_checks(args):
 
 def cmd_fiber(args):
     curve = quartic.cuspidal_quartic()
-    roots = pattern = None
+    found = pattern = None
     if args.x.imag == 0:
         try:  # the pattern's exact signs and the roots, from one solve
             fiber = quartic.classify_real_fiber(curve, args.x.real)
-            roots, pattern = fiber.roots, fiber.pattern.value
+            found, pattern = fiber.roots, fiber.pattern.value
         except quartic.CurveError:  # x is a critical value
             pattern = "critical"
-    if roots is None:
-        roots = quartic.fiber_solve(curve, args.x)
+    if found is None:
+        found = quartic.fiber_solve(curve, args.x)
     results = {"x": args.x, "roots": [
         {"value": r.value, "radius": r.radius, "multiplicity": r.multiplicity}
-        for r in roots]}
+        for r in found]}
     check_list = []
-    total = sum(r.multiplicity for r in roots)
+    total = sum(r.multiplicity for r in found)
     count = {"total_multiplicity": total}
     count_ok = total == 4
     if pattern is not None:
-        vals = [r.value for r in roots for _ in range(r.multiplicity)]
+        vals = [r.value for r in found for _ in range(r.multiplicity)]
         tol = 1e-9 * max(1.0, max(abs(v) for v in vals))  # relative to the root size
         conj = all(min(abs(v.conjugate() - w) for w in vals) < tol for v in vals)
         neg = all(min(abs(-v - w) for w in vals) < tol for v in vals)
         check_list.append(("fiber_symmetry", conj and neg,
                            {"conjugation": conj, "negation": neg}))
         results["pattern"] = pattern
-    if any(r.overlaps(s) for i, r in enumerate(roots) for s in roots[i + 1:]):
+    if any(not roots.disks_apart(r.value, r.radius, s.value, s.radius)
+           for i, r in enumerate(found) for s in found[i + 1:]):
         count_ok = False
         count.update(overlapping_disks=True)
     check_list.append(("root_count", count_ok, count))

@@ -270,22 +270,3 @@ def _track(fiber_coeffs, path, positions, mates):
                 s.append(z)
     return paths
 
-
-def end_permutation(paths, reference):
-    """Match final strand positions against reference positions by nearest disk.
-
-    Returns perm with perm[k] = index of the reference position where
-    strand k ends.  Errors out if the matching is ambiguous or not a
-    bijection.
-    """
-    perm = []
-    for p in paths:
-        z = p.samples[-1]
-        dists = sorted((abs(z - w), i) for i, w in enumerate(reference))
-        if len(dists) > 1 and dists[0][0] > 0.45 * dists[1][0]:
-            raise ContinuationError(
-                f"ambiguous end matching for strand {p.strand_id}")
-        perm.append(dists[0][1])
-    if sorted(perm) != list(range(len(reference))):
-        raise ContinuationError("end fiber does not match reference positions")
-    return perm

@@ -23,9 +23,10 @@ strand it ended on, reversed.
 The fibers where axis legs start, over the basepoint and over each
 circle's far point, are made exactly symmetric where inclusion disks
 decide which roots are real and which are conjugate pairs
-(``_symmetrized``).  The legs then stay symmetric and take
-``continue_roots``' real route, and the far point's decision is the
-mirror's strand map.
+(``_symmetrized``), and a fiber they leave undecided is refused.  The legs
+then stay symmetric and take ``continue_roots``' real route, the far
+point's decision is the mirror's strand map, and the circle closes on the
+exact conjugates of the walk's end fiber.
 
 The strand sweep orders the fiber by real part and emits one signed Artin
 letter per transversal exchange of neighbors; a counterclockwise exchange,
@@ -53,8 +54,7 @@ from operator import ge
 
 from . import DEFAULT_SHEAR, default_basepoint
 from .braids import BraidWord, free_reduce
-from .continuation import (StrandPath, check_clearance, continue_roots,
-                           end_permutation)
+from .continuation import StrandPath, check_clearance, continue_roots
 from .quartic import (CurveError, classify_real_fiber, critical_values,
                       cuspidal_quartic, sheared_curve)
 from .roots import conjugate_partners, inclusion_radius, roots_univariate
@@ -133,7 +133,8 @@ def build_loops(criticals, basepoint, circle_steps=32):
     loop is its walk reversed, so it has no waypoints of its own.
 
     Raises ValueError unless circle_steps is even and at least 4, so that
-    the half circle ends on the axis and does not pass through its center.
+    the half circle ends on the axis and does not pass through its center,
+    and when the basepoint is a critical value, which no loop can circle.
     """
     if circle_steps < 4 or circle_steps % 2:
         raise ValueError(f"circle_steps must be an even number of at least 4, "
@@ -144,6 +145,9 @@ def build_loops(criticals, basepoint, circle_steps=32):
         if value.imag != 0:
             raise SweepError(f"critical value {value} is not real; "
                              "loop construction expects the real configuration")
+        if value.real == basepoint:
+            raise ValueError(f"the basepoint {basepoint!r} is a critical value, "
+                             "which no loop can circle")
         reals.append((value.real, mult))
     values = [v for v, _ in reals]
     gaps = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]]
@@ -344,19 +348,20 @@ def _start_roots(sheared, basepoint):
     except OverflowError:
         raise OverflowError(f"fiber coefficients at x = {basepoint} "
                             "overflow double precision") from None
-    values = _symmetrized([r.value for r in roots], [r.radius for r in roots])[0]
+    values = _symmetrized([r.value for r in roots], [r.radius for r in roots], basepoint)[0]
     return sorted(values, key=lambda z: (z.real, z.imag))
 
 
-def _symmetrized(values, radii):
-    """(positions, partners) for the roots of a real fiber at values with
-    inclusion radii radii: where ``roots.conjugate_partners`` decides the
-    conjugation, each root moves to the mean of itself and its partner's
-    conjugate, so a real root to its real part and a pair to exact
-    conjugates; otherwise the positions stay and partners is None."""
+def _symmetrized(values, radii, x):
+    """(positions, partners) for the roots of the real fiber over x at
+    values with inclusion radii radii, where ``roots.conjugate_partners``
+    decides the conjugation: each root moves to the mean of itself and its
+    partner's conjugate, so a real root to its real part and a pair to
+    exact conjugates.  An undecided fiber raises SweepError naming x."""
     partners = conjugate_partners(values, radii)
     if partners is None:
-        return list(values), None
+        raise SweepError(f"inclusion disks of the fiber over x = {x!r} do not decide "
+                         "which roots are real and which are conjugate pairs")
     return [complex((z.real + values[j].real) / 2, (z.imag - values[j].imag) / 2)
             for z, j in zip(values, partners)], partners
 
@@ -429,11 +434,15 @@ def _track_side(sheared, loops, start, targets, clearance):
     where j is the strand whose conjugate ends where strand k does.  The
     first half's last samples are made exactly symmetric there
     (``_symmetrized``, with the inclusion radii of the fiber over the far
-    point), and the decided partners are j; an undecided far fiber keeps
-    its samples and is mirrored by nearest-disk matching
-    (``end_permutation``).  The symmetric samples end the first half and
-    start both the second half and the next leg.  A circle that is not its
-    own mirror image raises SweepError.
+    point), and the decided partners are j; an undecided far fiber raises
+    SweepError.  The symmetric samples end the first half and start both
+    the second half and the next leg.  Every leg starts on such a decided
+    fiber, over the basepoint or a far point, and the real route keeps it
+    exactly symmetric, so the mirrored strand k ends exactly on the
+    conjugate of the walk's end position of strand j, which is the walk's
+    end position of strand perm[k]: found by exact lookup, and SweepError
+    if it is missing.  A circle that is not its own mirror image raises
+    SweepError.
     Each leg and first half is checked for clearance once, against every
     critical value but the loop's target; the targets are real, so the
     mirror has the same clearance.  Strand k walks out, circles, and comes
@@ -456,19 +465,21 @@ def _track_side(sheared, loops, start, targets, clearance):
         out = continue_roots(fiber, loop.circle[:half + 1], ends)
         # the fiber over the real far point is its own conjugate: strand k
         # sits where strand j's conjugate ends, and goes on along it reversed
+        x = loop.circle[half].real
         far = [p.samples[-1] for p in out]
-        coeffs = fiber(loop.circle[half].real)
-        far, mirror = _symmetrized(far, [inclusion_radius(coeffs, z) for z in far])
-        if mirror is None:
-            mirror = end_permutation(out, [z.conjugate() for z in far])
+        coeffs = fiber(x)
+        far, mirror = _symmetrized(far, [inclusion_radius(coeffs, z) for z in far], x)
         for p, z in zip(out, far):
             p.samples[-1] = z
-        back = [StrandPath(k, [z.conjugate() for z in out[j].samples[::-1]])
-                for k, j in enumerate(mirror)]
-        # loudly validates that the circle closed on the walk's end fiber
-        perm = end_permutation(back, ends)
+        back = [[z.conjugate() for z in out[j].samples[::-1]] for j in mirror]
+        # ends is exactly symmetric, so each mirrored strand ends on one of them
+        try:
+            perm = [ends.index(b[-1]) for b in back]
+        except ValueError:
+            raise SweepError(f"the circle about {loop.target.real!r} does not close "
+                             "on the walk's end fiber") from None
         first = _Segment([p.samples for p in out])
-        second = _Segment([o.samples[-1:] + b.samples[1:] + [ends[j]]
+        second = _Segment([o.samples[-1:] + b[1:] + [ends[j]]
                            for o, b, j in zip(out, back, perm)])
         out_loops.append(_TrackedLoop(walk, [first, second], perm))
         walk = walk + [first]
@@ -512,8 +523,9 @@ def monodromy_factorization(curve=None, basepoint=None, shear=DEFAULT_SHEAR,
     shear = Fraction(shear)
     sheared = sheared_curve(curve, shear)
     criticals = critical_values(sheared)
-    loops, radius = build_loops(criticals, basepoint, circle_steps=circle_steps)
+    # a basepoint exactly on a critical value fails here, on its multiple root
     start = _start_roots(sheared, basepoint)
+    loops, radius = build_loops(criticals, basepoint, circle_steps=circle_steps)
     names = _strand_names(curve, basepoint, start)
     targets = [loop.target for loop in loops]
     clearance = 0.9 * min(radius, 1.0)

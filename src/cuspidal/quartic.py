@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from . import exactpoly as xp
 from .mpoly import MPoly, bareiss, determinant, resultant, ring, sylvester_matrix
-from .roots import (ApproxRoot, RootFindingError, approximate_roots, gaussian_horner,
-                    horner_radius, inclusion_radius)
+from .roots import (ApproxRoot, RootFindingError, approximate_roots, disks_apart,
+                    gaussian_horner, horner_radius, inclusion_radius)
 
 PLANE_VARS = ("x", "y", "z")
 AFFINE_VARS = ("x", "y")
@@ -424,7 +424,7 @@ def _factor_roots(factor):
         lo, hi = Fraction(z.real) - Fraction(r), Fraction(z.real) + Fraction(r)
         if z.imag <= r and (xp.sign_at(factor, lo) == 0 or xp.isolate_roots(factor, lo, hi)):
             continue
-        if all(_apart(z, u, r, s) for w, s, _ in pairs for u in (w, w.conjugate())):
+        if all(disks_apart(z, r, u, s) for w, s, _ in pairs for u in (w, w.conjugate())):
             pairs.append((z, r, _newton_refined(factor, z, r, horner)))
     if len(values) + 2 * len(pairs) != n:
         raise RootFindingError(f"a squarefree factor of degree {n} has {len(values)} real "
@@ -447,22 +447,11 @@ def _newton_refined(coeffs, z, r, horner):
         (a, b), (c, e) = w.real.as_integer_ratio(), w.imag.as_integer_ratio()
         step = complex((a * q2 - b * (pr * qr + pi * qi)) / (b * q2),
                        (c * q2 - e * (pi * qr - pr * qi)) / (e * q2))
-        if step == w or step.imag <= 0 or _apart(step, z, 0.0, r):
+        if step == w or step.imag <= 0 or disks_apart(step, 0.0, z, r):
             break
         w = step
         horner = gaussian_horner(coeffs, w)
     return w
-
-
-def _apart(z, w, r, s):
-    """|z - w| > r + s, exactly; the float distance settles all but
-    near-tangent disks."""
-    if abs(z - w) > 2 * (r + s):
-        return True
-    if abs(z - w) < (r + s) / 2:
-        return False
-    dx, dy = Fraction(z.real) - Fraction(w.real), Fraction(z.imag) - Fraction(w.imag)
-    return dx * dx + dy * dy > (Fraction(r) + Fraction(s)) ** 2
 
 
 # -- flexes and cusps -----------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 ABERTH_STEPS = 200
 ABERTH_TOL = 1e-13  # relative step size at which Aberth stops
@@ -29,9 +30,6 @@ class ApproxRoot:
     value: complex
     radius: float
     multiplicity: int = 1
-
-    def overlaps(self, other):
-        return abs(self.value - other.value) <= self.radius + other.radius
 
 
 def eval_poly(coeffs, z):
@@ -155,7 +153,7 @@ def roots_univariate(coeffs):
     found = [ApproxRoot(z, inclusion_radius(coeffs, z)) for z in approximate_roots(coeffs)]
     for i, a in enumerate(found):
         for b in found[i + 1:]:
-            if a.overlaps(b):
+            if not disks_apart(a.value, a.radius, b.value, b.radius):
                 raise RootFindingError(
                     f"roots {a.value:.6g} and {b.value:.6g} have overlapping certificates")
     return sorted(found, key=lambda r: (r.value.real, r.value.imag))
@@ -218,33 +216,37 @@ def horner_radius(n, horner):
     return radius
 
 
+def disks_apart(z, r, w, s):
+    """|z - w| > r + s, decided exactly: the disks about z and w with radii
+    r and s are disjoint.  The float distance settles all but near-tangent
+    disks; those are decided in rationals, since every float is one."""
+    if abs(z - w) > 2 * (r + s):
+        return True
+    if abs(z - w) < (r + s) / 2:
+        return False
+    dx, dy = Fraction(z.real) - Fraction(w.real), Fraction(z.imag) - Fraction(w.imag)
+    return dx * dx + dy * dy > (Fraction(r) + Fraction(s)) ** 2
+
+
 def conjugate_partners(values, radii):
     """How conjugation permutes the simple roots of a real polynomial of
     degree len(values), decided by their inclusion disks D_k about
     values[k] with radius radii[k]: partners[k] = k for a real root and the
     index of its conjugate otherwise, or None when this is not decided.
 
-    The disks must be pairwise disjoint, so each holds exactly one root,
-    and conj(D_k) holds the conjugate of D_k's root.  So root k is real
-    when conj(D_k) meets no other disk, and a root whose disk misses the
-    axis is the conjugate of the root of the one disk that conj(D_k)
-    meets.  Disks count as apart only with a relative margin of 1e-12 over
-    the rounding of the test.
+    The disks must be pairwise disjoint (``disks_apart``), so each holds
+    exactly one root.  conj(D_k) holds the conjugate of D_k's root, so it
+    meets the disk holding that conjugate; when it meets one disk D_j only,
+    root k is the conjugate of root j.  For j = k the root is real; for
+    j != k conj(D_k) misses D_k, so D_k misses the axis.
     """
     disks = list(zip(values, radii))
-
-    def apart(z, r, w, s):
-        return abs(z - w) > (r + s) * (1 + 1e-12)
-
-    if any(not apart(z, r, w, s) for i, (z, r) in enumerate(disks) for w, s in disks[i + 1:]):
+    if any(not disks_apart(z, r, w, s) for i, (z, r) in enumerate(disks) for w, s in disks[i + 1:]):
         return None
     partners = []
-    for k, (z, r) in enumerate(disks):
-        meets = [j for j, (w, s) in enumerate(disks) if not apart(z.conjugate(), r, w, s)]
-        if meets == [k]:
-            partners.append(k)
-        elif len(meets) == 1 and abs(z.imag) > r * (1 + 1e-12):
-            partners.append(meets[0])
-        else:
+    for z, r in disks:
+        meets = [j for j, (w, s) in enumerate(disks) if not disks_apart(z.conjugate(), r, w, s)]
+        if len(meets) != 1:
             return None
+        partners.append(meets[0])
     return partners

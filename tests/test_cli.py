@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspidal import bidouble, checks, cli, groups, quartic, surface
+from cuspidal import bidouble, checks, cli, groups, monodromy, quartic, surface
 from cuspidal.bidouble import StructureError
 from cuspidal.cli import main
 from cuspidal.mpoly import ring
@@ -355,6 +355,26 @@ def test_monodromy_numerical_failure_is_a_structured_fail(capsys, argv, exceptio
     assert check["name"] == "braid_monodromy" and not check["pass"]
     assert check["witness"]["exception"] == exception
     assert check["witness"]["message"]
+
+
+@pytest.mark.parametrize("basepoint, exception, message", [
+    # the tangency value at shear 1/100, rounded to a float: no loop circles it
+    ("-0.9999000099990001", "ValueError", "basepoint -0.9999000099990001 is a critical value"),
+    # its fiber's inclusion disks decide no conjugation
+    ("-1.1314963220235736", "SweepError", "fiber over x = -1.1314963220235736 do not decide"),
+])
+def test_monodromy_refuses_a_basepoint_before_tracking(capsys, monkeypatch, basepoint,
+                                                       exception, message):
+    def untracked(*args):
+        raise AssertionError("tracked a loop from a refused basepoint")
+
+    monkeypatch.setattr(monodromy, "continue_roots", untracked)
+    code, out = run_cli(capsys, "monodromy", "--shear", "1/100", f"--basepoint={basepoint}")
+    assert code == 1
+    [check] = json.loads(out)["checks"]
+    assert check["name"] == "braid_monodromy" and not check["pass"]
+    assert check["witness"]["exception"] == exception
+    assert message in check["witness"]["message"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "x"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cuspidal import continuation
 from cuspidal.continuation import (
     HALVING_BUDGET, NEWTON_STEPS, NEWTON_TOL, ClearanceError, ContinuationError,
-    StrandPath, _min_pairwise, check_clearance, continue_roots, end_permutation,
+    StrandPath, _min_pairwise, check_clearance, continue_roots,
 )
 from cuspidal.monodromy import _start_roots, build_loops, fiber_evaluator
 from cuspidal.quartic import critical_values, cuspidal_quartic, sheared_curve
@@ -57,6 +57,25 @@ def test_clearance_precondition():
     with pytest.raises(ClearanceError):
         check_clearance([-0.5, -1.05], [-1.0], 0.01)
     check_clearance([-0.5 + 0.5j, -1.05 + 0.5j], [-1.0], 0.01)
+
+
+def end_permutation(paths, reference):
+    """Match final strand positions against reference positions by nearest
+    disk: perm[k] is the index of the reference position where strand k
+    ends.  Raises ContinuationError if the matching is ambiguous or not a
+    bijection.  The loops here start on fibers that are not made exactly
+    symmetric, so their strands are matched by distance, not by the exact
+    lookup of ``monodromy._track_side``."""
+    perm = []
+    for p in paths:
+        z = p.samples[-1]
+        dists = sorted((abs(z - w), i) for i, w in enumerate(reference))
+        if len(dists) > 1 and dists[0][0] > 0.45 * dists[1][0]:
+            raise ContinuationError(f"ambiguous end matching for strand {p.strand_id}")
+        perm.append(dists[0][1])
+    if sorted(perm) != list(range(len(reference))):
+        raise ContinuationError("end fiber does not match reference positions")
+    return perm
 
 
 def test_loop_around_origin_swaps_colliding_strands():

@@ -139,6 +139,13 @@ def test_build_loops_rejects_circle_steps_without_a_half_circle_on_the_axis(step
         build_loops([(-1 + 0j, 1), (0j, 3)], -0.5, steps)
 
 
+def test_build_loops_rejects_a_basepoint_on_a_critical_value():
+    # the critical value has no side of the basepoint, and the circles
+    # would have radius 0
+    with pytest.raises(ValueError, match=r"basepoint -1\.0 is a critical value"):
+        build_loops([(-1 + 0j, 1), (0j, 3)], -1.0)
+
+
 def test_build_loops_rejects_any_nonzero_imaginary_part():
     crit = [(complex(-1.0, 1e-12), 1), (0j, 3)]
     with pytest.raises(SweepError, match="not real"):
@@ -312,13 +319,14 @@ def test_start_roots_are_real_or_exact_conjugate_pairs(shear, basepoint):
     assert roots == sorted(roots, key=lambda z: (z.real, z.imag))
 
 
-def test_an_undecided_fiber_keeps_its_positions():
+def test_an_undecided_fiber_is_refused():
     # the near-real cluster 0.7 +- 1e-12 i of a float quartic: its inclusion
     # disks overlap, so neither a real root nor a pair is made of it
     coeffs = [-1.3377, 3.43, -1.12, -2.2, 1.0]  # (y - 0.7)^2 (y + 1.3) (y - 2.1)
     values = [complex(0.7, 1e-12), complex(0.7, -1e-12), -1.3 + 1e-17j, 2.1 + 0j]
     radii = [inclusion_radius(coeffs, z) for z in values]
-    assert _symmetrized(values, radii) == (values, None)
+    with pytest.raises(SweepError, match=r"fiber over x = 0\.25 do not decide"):
+        _symmetrized(values, radii, 0.25)
 
 
 def test_start_roots_share_real_parts_within_conjugate_pairs():

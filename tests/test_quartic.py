@@ -20,7 +20,7 @@ from cuspidal.quartic import (
     dual_of_dual, dual_parametrization, fiber_solve, flexes_and_cusps, gradient,
     implicitize, nodal_cubic, nodal_cubic_param, sheared_curve, theta,
 )
-from cuspidal.roots import RootFindingError
+from cuspidal.roots import RootFindingError, disks_apart
 
 
 def expected_quartic():
@@ -236,7 +236,8 @@ _signed = st.builds(lambda m, s: s * m, st.floats(1e-8, 1e19),
 def test_fiber_solve_disks_are_disjoint_and_hold_the_60_digit_roots(x0):
     roots = fiber_solve(cuspidal_quartic(), x0)
     assert sum(r.multiplicity for r in roots) == 4
-    assert not any(r.overlaps(s) for i, r in enumerate(roots) for s in roots[i + 1:])
+    assert all(disks_apart(r.value, r.radius, s.value, s.radius)
+               for i, r in enumerate(roots) for s in roots[i + 1:])
     with mpmath.workdps(60):
         exact = _mp_fiber_roots(x0)
         for r in roots:

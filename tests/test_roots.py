@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cuspidal.roots import (
-    RootFindingError, _eval_error_bound, conjugate_partners, inclusion_radius,
+    RootFindingError, _eval_error_bound, conjugate_partners, disks_apart, inclusion_radius,
     roots_univariate,
 )
 
@@ -136,6 +136,29 @@ def _real_quartic(quadratic, a, b):
         for j, d in enumerate(linear):
             out[i + j] += Fraction(c) * Fraction(d)
     return out
+
+
+def _in_the_undecided_band(z, r, w, s):
+    """Neither of the float prefilter's tests settles these disks."""
+    return (r + s) / 2 <= abs(z - w) <= 2 * (r + s)
+
+
+@pytest.mark.parametrize("z, r, w, further, s", [
+    (0j, 2.0, 3 + 4j, complex(3, math.nextafter(4, 5)), 3.0),  # |z - w| = 5
+    (1 + 1j, 0.25, -2.5 + 1j, complex(math.nextafter(-2.5, -3), 1), 3.25),
+])
+def test_tangent_disks_are_not_apart_and_one_ulp_further_they_are(z, r, w, further, s):
+    assert _in_the_undecided_band(z, r, w, s) and _in_the_undecided_band(z, r, further, s)
+    assert not disks_apart(z, r, w, s) and not disks_apart(w, s, z, r)
+    assert disks_apart(z, r, further, s) and disks_apart(further, s, z, r)
+
+
+def test_disks_apart_adds_the_radii_exactly():
+    # the float sum 0.1 + 0.2 rounds up to the distance 0.30000000000000004;
+    # the exact sum of the two floats is smaller, so the disks are apart
+    z, w = 0j, 0.30000000000000004 + 0j
+    assert abs(z - w) == 0.1 + 0.2 and _in_the_undecided_band(z, 0.1, w, 0.2)
+    assert disks_apart(z, 0.1, w, 0.2)
 
 
 def test_conjugate_partners_decides_a_separated_real_fiber():
